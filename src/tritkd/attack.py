@@ -62,26 +62,32 @@ class DegenerateDiscriminationError(ValueError):
         self.rank = rank
 
 
+# Feasible attack knobs: lam below -1/2 has no Gram-feasible realization for
+# three symmetric unit vectors.
+F_DOMAIN = (0.0, 1.0)
+LAM_DOMAIN = (-0.5, 1.0)
+
+
 @dataclass(frozen=True)
 class AttackParams:
     """Eve's two attack knobs.
 
     f is the weight of the matched block of her source state, lam the common
-    pairwise overlap of the three matched ancilla states.  lam below -1/2 has
-    no Gram-feasible realization for three symmetric unit vectors.
+    pairwise overlap of the three matched ancilla states.  Both may be floats
+    or broadcastable arrays; the closed forms then evaluate pointwise.
     """
 
-    f: float
-    lam: float
+    f: float | np.ndarray
+    lam: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError(f"f={self.f} outside [0, 1]")
-        if not -0.5 <= self.lam <= 1.0:
-            raise ValueError(f"lam={self.lam} outside [-1/2, 1]")
+        # NaN compares False, so np.all over the comparisons rejects it
+        for name, x, (lo, hi) in (("f", self.f, F_DOMAIN), ("lam", self.lam, LAM_DOMAIN)):
+            if not np.all((lo <= x) & (x <= hi)):
+                raise ValueError(f"{name}={x} outside [{lo:g}, {hi:g}]")
 
     @property
-    def visibility(self) -> float:
+    def visibility(self) -> float | np.ndarray:
         """Attenuation factor f*lam applied to every correlation."""
         return self.f * self.lam
 
@@ -239,28 +245,42 @@ class SubspaceAnalysis:
     w: tuple[float | None, float | None, float | None]
 
 
-def subspace_analysis(params: AttackParams) -> SubspaceAnalysis:
-    """Closed-form subspace probabilities, ancilla overlaps, and success rates.
+def _subspace_geometry(params: AttackParams) -> tuple[np.ndarray, ...]:
+    """(p0, p12, lam_tilde_0, lam_tilde_12) as arrays of the params' shape.
 
-    p0 = (1 + 2v)/3 and p1 = p2 = (1 - v)/3 with v = f*lam; the overlaps are
-    lam_tilde_0 = (3f + 4v - 1) / (2(1 + 2v)) and
-    lam_tilde_12 = (3f - 2v - 1) / (2(1 - v)).
+    p0 = (1 + 2v)/3 and p1 = p2 = p12 = (1 - v)/3 with v = f*lam; the overlaps
+    are lam_tilde_0 = (3f + 4v - 1) / (2(1 + 2v)) and
+    lam_tilde_12 = (3f - 2v - 1) / (2(1 - v)), NaN where p of the group is 0.
     """
-    f = params.f
-    v = params.visibility
+    f = np.asarray(params.f, dtype=float)
+    v = f * params.lam
     p0 = (1.0 + 2.0 * v) / 3.0
     p12 = (1.0 - v) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lt0 = np.where(p0 > 0.0, 0.5 * (3.0 * f + 4.0 * v - 1.0) / (1.0 + 2.0 * v), np.nan)
+        lt12 = np.where(p12 > 0.0, 0.5 * (3.0 * f - 2.0 * v - 1.0) / (1.0 - v), np.nan)
+    return p0, p12, lt0, lt12
 
-    lt0 = 0.5 * (3.0 * f + 4.0 * v - 1.0) / (1.0 + 2.0 * v) if p0 > 0.0 else None
-    lt12 = 0.5 * (3.0 * f - 2.0 * v - 1.0) / (1.0 - v) if p12 > 0.0 else None
-    w0 = float(srm_success(lt0)) if lt0 is not None else None
-    w12 = float(srm_success(lt12)) if lt12 is not None else None
 
-    return SubspaceAnalysis(
-        p=(p0, p12, p12),
-        lam_tilde=(lt0, lt12, lt12),
-        w=(w0, w12, w12),
-    )
+def _over_groups(params: AttackParams, per_group) -> np.ndarray:
+    """sum_i p[i] * per_group(w[i]) over the three groups, skipping those with p[i] = 0."""
+    p0, p12, lt0, lt12 = _subspace_geometry(params)
+    t0 = np.where(p0 > 0.0, p0 * per_group(srm_success(lt0)), 0.0)
+    t12 = np.where(p12 > 0.0, p12 * per_group(srm_success(lt12)), 0.0)
+    return t0 + t12 + t12
+
+
+def _unwrap(x):
+    """A float for scalar params, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def subspace_analysis(params: AttackParams) -> SubspaceAnalysis:
+    """Closed-form subspace probabilities, ancilla overlaps, and success rates (scalar params)."""
+    p0, p12, lt0, lt12 = (float(x) for x in _subspace_geometry(params))
+    lt = [x if p > 0.0 else None for p, x in ((p0, lt0), (p12, lt12))]
+    w = [None if x is None else float(srm_success(x)) for x in lt]
+    return SubspaceAnalysis(p=(p0, p12, p12), lam_tilde=(lt[0], lt[1], lt[1]), w=(w[0], w[1], w[1]))
 
 
 def srm_directions(states) -> list[np.ndarray]:
@@ -283,30 +303,17 @@ def srm_directions(states) -> list[np.ndarray]:
     return [root @ v for v in vecs]
 
 
-def eve_error(params: AttackParams) -> float:
+def eve_error(params: AttackParams) -> float | np.ndarray:
     """Probability that Eve's measurement names the wrong key symbol."""
-    sub = subspace_analysis(params)
-    return float(
-        sum(p * (1.0 - w) for p, w in zip(sub.p, sub.w) if p > 0.0)
-    )
+    return _unwrap(_over_groups(params, lambda w: 1.0 - w))
 
 
-def ab_error(params: AttackParams) -> float:
+def ab_error(params: AttackParams) -> float | np.ndarray:
     """Trit error rate between Alice and Bob: 2(1 - f*lam)/3.
 
     Equals the total probability of the two wrong-key groups.
     """
     return 2.0 * (1.0 - params.visibility) / 3.0
-
-
-def mutual_information(joint, log_base: float = 3.0) -> float:
-    """I(X;Y) of a joint probability table, with the 0*log(0) = 0 convention."""
-    p = np.asarray(joint, dtype=float)
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    mask = p > 0.0
-    terms = p[mask] * np.log(p[mask] / (px * py)[mask])
-    return float(terms.sum() / np.log(log_base))
 
 
 def ab_joint_table(params: AttackParams) -> np.ndarray:
@@ -322,12 +329,32 @@ def ab_joint_table(params: AttackParams) -> np.ndarray:
     return table
 
 
-def mutual_info_ab(params: AttackParams, log_base: float = 3.0) -> float:
-    """Mutual information per sifted symbol between Alice and Bob."""
-    return mutual_information(ab_joint_table(params), log_base)
+def mutual_info_ab(params: AttackParams, log_base: float = 3.0) -> float | np.ndarray:
+    """Mutual information per sifted symbol between Alice and Bob.
+
+    Both marginals are uniform and the joint table is ab_joint_table, so
+
+        I = ((1 + 2v) log(1 + 2v) + 2(1 - v) log(1 - v)) / 3,
+
+    written with log1p to keep full relative precision for small |v|.
+    """
+    v = np.asarray(params.visibility, dtype=float)
+    # 0 log 0 = 0 at the endpoints v = -1/2 and v = 1
+    matched = (1.0 + 2.0 * v) * np.log1p(np.where(v > -0.5, 2.0 * v, 0.0))
+    unmatched = 2.0 * (1.0 - v) * np.log1p(np.where(v < 1.0, -v, 0.0))
+    return _unwrap((matched + unmatched) / (3.0 * np.log(log_base)))
 
 
-def mutual_info_ae(params: AttackParams, log_base: float = 3.0) -> float:
+def _group_info_nats(w):
+    """log 3 + w log w + (1 - w) log((1 - w)/2), with 0 log 0 = 0."""
+    return (
+        np.log(3.0)
+        + w * np.log(np.where(w > 0.0, w, 1.0))
+        + (1.0 - w) * np.log(np.where(w < 1.0, (1.0 - w) / 2.0, 1.0))
+    )
+
+
+def mutual_info_ae(params: AttackParams, log_base: float = 3.0) -> float | np.ndarray:
     """Mutual information between Alice's key symbol and Eve's measurement record.
 
     Eve's record is (group, guess).  The group is uniform over Alice's
@@ -338,15 +365,4 @@ def mutual_info_ae(params: AttackParams, log_base: float = 3.0) -> float:
 
     Groups with zero probability contribute nothing.
     """
-    sub = subspace_analysis(params)
-    total = 0.0
-    for p, w in zip(sub.p, sub.w):
-        if p <= 0.0:
-            continue
-        term = np.log(3.0)
-        if w > 0.0:
-            term += w * np.log(w)
-        if w < 1.0:
-            term += (1.0 - w) * np.log((1.0 - w) / 2.0)
-        total += p * term
-    return float(total / np.log(log_base))
+    return _unwrap(_over_groups(params, _group_info_nats) / np.log(log_base))

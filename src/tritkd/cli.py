@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackParams
+from .attack import F_DOMAIN, LAM_DOMAIN, AttackParams
 from .correlations import (
     CRITICAL_VISIBILITY,
     LOCAL_REALISM_BOUND,
@@ -23,8 +23,20 @@ from .quantum import standard_settings
 from .simulate import SimConfig, run, summary_dict, write_summary, write_transcript
 from .sweep import find_crossover, format_csv, sweep_rows
 
-F_DOMAIN = (0.0, 1.0)
-LAM_DOMAIN = (-0.5, 1.0)
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _log_base(text: str) -> float:
+    value = _finite(text)
+    # below 1 every information is negative and I_AB > I_AE would flip
+    if value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be greater than 1, got {text!r}")
+    return value
 
 
 def _parse_triple(text: str) -> np.ndarray:
@@ -95,8 +107,11 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_crossover(args) -> int:
-    result = find_crossover(tolerance=args.tolerance, log_base=args.log_base)
+def cmd_crossover(args, parser) -> int:
+    try:
+        result = find_crossover(tolerance=args.tolerance, log_base=args.log_base)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(
         json.dumps(
             {
@@ -162,20 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="six semicolon-separated phase triples A1;A2;A3;B1;B2;B3 (radians)",
     )
-    p_bell.add_argument("--visibility", type=float, default=1.0, help="scale all correlations")
+    p_bell.add_argument("--visibility", type=_finite, default=1.0, help="scale all correlations")
 
     p_sweep = sub.add_parser("sweep", help="write a CSV grid over the attack plane")
-    p_sweep.add_argument("--f-min", type=float, default=0.0)
-    p_sweep.add_argument("--f-max", type=float, default=1.0)
-    p_sweep.add_argument("--lam-min", type=float, default=-0.5)
-    p_sweep.add_argument("--lam-max", type=float, default=1.0)
+    p_sweep.add_argument("--f-min", type=_finite, default=0.0)
+    p_sweep.add_argument("--f-max", type=_finite, default=1.0)
+    p_sweep.add_argument("--lam-min", type=_finite, default=-0.5)
+    p_sweep.add_argument("--lam-max", type=_finite, default=1.0)
     p_sweep.add_argument("--steps", type=int, default=50, help="points per axis")
-    p_sweep.add_argument("--log-base", type=float, default=3.0)
+    p_sweep.add_argument("--log-base", type=_log_base, default=3.0)
     p_sweep.add_argument("--out", type=str, required=True, help="output CSV path")
 
     p_cross = sub.add_parser("crossover", help="largest visibility with I_AE >= I_AB")
     p_cross.add_argument("--tolerance", type=float, default=1e-6)
-    p_cross.add_argument("--log-base", type=float, default=3.0)
+    p_cross.add_argument("--log-base", type=_log_base, default=3.0)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo protocol")
     p_sim.add_argument("--trials", type=int, required=True)
@@ -203,7 +218,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args, parser)
         if args.command == "crossover":
-            return cmd_crossover(args)
+            return cmd_crossover(args, parser)
         return cmd_simulate(args, parser)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

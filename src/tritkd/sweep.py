@@ -5,15 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .attack import (
     AttackParams,
+    _subspace_geometry,
     ab_error,
     eve_error,
     mutual_info_ab,
     mutual_info_ae,
-    srm_success,
+    srm_success,  # noqa: F401 -- perfbench/spans.py wraps it on this module
 )
 from .correlations import CRITICAL_VISIBILITY
 
@@ -30,6 +30,13 @@ CSV_COLUMNS = (
     "bell_violated",
     "secure",
 )
+
+
+# Contour maximisation: grid points per zoom, zooms after the first scan
+# (each narrows the f bracket by (_GRID - 1)/2), and the bisection budget.
+_GRID = 201
+_ZOOMS = 6
+_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -61,29 +68,18 @@ class CrossoverResult:
 
 def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> list[SweepRow]:
     """Evaluate every (f, lam) pair, f outermost, both axes in given order."""
-    rows = []
-    for f in f_values:
-        for lam in lam_values:
-            params = AttackParams(f=float(f), lam=float(lam))
-            v = params.visibility
-            i_ab = mutual_info_ab(params, log_base)
-            i_ae = mutual_info_ae(params, log_base)
-            rows.append(
-                SweepRow(
-                    f=params.f,
-                    lam=params.lam,
-                    v=v,
-                    p0=(1.0 + 2.0 * v) / 3.0,
-                    p1=(1.0 - v) / 3.0,
-                    e_ab=ab_error(params),
-                    e_eve=eve_error(params),
-                    i_ab=i_ab,
-                    i_ae=i_ae,
-                    bell_violated=v >= CRITICAL_VISIBILITY - 1e-12,
-                    secure=i_ab > i_ae,
-                )
-            )
-    return rows
+    f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
+    params = AttackParams(f=f.ravel(), lam=lam.ravel())
+    v = params.visibility
+    p0, p1, _, _ = _subspace_geometry(params)
+    i_ab = mutual_info_ab(params, log_base)
+    i_ae = mutual_info_ae(params, log_base)
+    columns = (
+        params.f, params.lam, v, p0, p1, ab_error(params), eve_error(params), i_ab, i_ae,
+        v >= CRITICAL_VISIBILITY - 1e-12,
+        i_ab > i_ae,
+    )
+    return [SweepRow(*values) for values in zip(*(c.tolist() for c in columns))]
 
 
 def format_csv(rows, comments=()) -> str:
@@ -99,54 +95,23 @@ def format_csv(rows, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _info_gap_nats(f_grid: np.ndarray, v: float) -> np.ndarray:
-    """I_AE - I_AB in nats along the contour f*lam = v, vectorized over f."""
-    p0 = (1.0 + 2.0 * v) / 3.0
-    p12 = (1.0 - v) / 3.0
+def _best_gap(v) -> tuple[np.ndarray, np.ndarray]:
+    """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, vectorised over v.
 
-    i_ab = 0.0
-    if p0 > 0.0:
-        i_ab += p0 * np.log(1.0 + 2.0 * v)
-    if p12 > 0.0:
-        i_ab += 2.0 * p12 * np.log(1.0 - v)
-
-    def group_term(w):
-        t = np.full_like(w, np.log(3.0))
-        t += np.where(w > 0.0, w * np.log(np.maximum(w, 1e-300)), 0.0)
-        t += np.where(
-            w < 1.0,
-            (1.0 - w) * np.log(np.maximum((1.0 - w) / 2.0, 1e-300)),
-            0.0,
-        )
-        return t
-
-    i_ae = np.zeros_like(f_grid)
-    if p0 > 0.0:
-        lt0 = 0.5 * (3.0 * f_grid + 4.0 * v - 1.0) / (1.0 + 2.0 * v)
-        i_ae += p0 * group_term(srm_success(lt0))
-    if p12 > 0.0:
-        lt12 = 0.5 * (3.0 * f_grid - 2.0 * v - 1.0) / (1.0 - v)
-        i_ae += 2.0 * p12 * group_term(srm_success(lt12))
-    return i_ae - i_ab
-
-
-def _best_gap(v: float) -> tuple[float, float]:
-    """(max gap, argmax f) of I_AE - I_AB over the visibility contour."""
-    f_lo = max(v, 1e-9)  # lam = v/f must stay <= 1
-    f_grid = np.linspace(f_lo, 1.0, 801)
-    gaps = _info_gap_nats(f_grid, v)
-    i = int(np.argmax(gaps))
-    lo = f_grid[max(i - 1, 0)]
-    hi = f_grid[min(i + 1, len(f_grid) - 1)]
-    if hi <= lo:
-        return float(gaps[i]), float(f_grid[i])
-    res = minimize_scalar(
-        lambda f: -float(_info_gap_nats(np.array([f]), v)[0]),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return -float(res.fun), float(res.x)
+    A grid in f is zoomed onto the neighbours of its best point; each zoom
+    narrows the bracket by a factor (_GRID - 1)/2.
+    """
+    v = np.asarray(v, dtype=float)
+    lo = np.maximum(v, 1e-9)  # lam = v/f must stay <= 1
+    hi = np.ones_like(lo)
+    for _ in range(_ZOOMS + 1):
+        f = np.linspace(lo, hi, _GRID, axis=-1)
+        params = AttackParams(f=f, lam=v[..., None] / f)
+        gap = mutual_info_ae(params, np.e) - mutual_info_ab(params, np.e)
+        i = np.argmax(gap, axis=-1)[..., None]
+        lo = np.take_along_axis(f, np.maximum(i - 1, 0), axis=-1)[..., 0]
+        hi = np.take_along_axis(f, np.minimum(i + 1, _GRID - 1), axis=-1)[..., 0]
+    return np.take_along_axis(gap, i, axis=-1)[..., 0], np.take_along_axis(f, i, axis=-1)[..., 0]
 
 
 def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverResult:
@@ -155,33 +120,36 @@ def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverR
     Coarse scan over v locates the last sign change of the contour-maximized
     information gap; bisection refines it until the bracket is narrower than
     tolerance and the gap at the result is within tolerance (measured in the
-    given log base; the location itself is base-independent).
+    given log base; the location itself is base-independent).  Raises
+    ValueError for a tolerance that is not finite and positive or that the
+    bisection cannot reach.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     scale = 1.0 / np.log(log_base)
 
     vs = np.linspace(0.01, 0.999, 199)
-    gaps = np.array([_best_gap(v)[0] for v in vs]) * scale
+    gaps = _best_gap(vs)[0]
     crossings = np.nonzero((gaps[:-1] >= 0.0) & (gaps[1:] < 0.0))[0]
     if crossings.size == 0:
         raise RuntimeError("no sign change of the information gap found")
     lo, hi = float(vs[crossings[-1]]), float(vs[crossings[-1] + 1])
 
-    for _ in range(200):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if _best_gap(mid)[0] >= 0.0:
+        gap, f_star = (float(x) for x in _best_gap(mid))
+        if hi - lo < tolerance and abs(gap) * scale <= tolerance:
+            break
+        if gap >= 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tolerance and abs(_best_gap(0.5 * (lo + hi))[0]) * scale <= tolerance:
-            break
+    else:
+        raise ValueError(f"tolerance {tolerance!r} not reached in {_BISECTIONS} bisection steps")
 
-    v_max = 0.5 * (lo + hi)
-    _, f_star = _best_gap(v_max)
     return CrossoverResult(
-        v_max=v_max,
+        v_max=mid,
         argmax_f=f_star,
-        argmax_lam=v_max / f_star,
+        argmax_lam=mid / f_star,
         tolerance=tolerance,
     )

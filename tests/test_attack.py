@@ -47,6 +47,14 @@ def test_params_validation():
         AttackParams(f=0.5, lam=-0.6)
     with pytest.raises(ValueError):
         AttackParams(f=0.5, lam=1.2)
+    with pytest.raises(ValueError):
+        AttackParams(f=float("nan"), lam=0.5)
+    # arrays are checked elementwise; one NaN or out-of-range entry rejects all
+    AttackParams(f=np.array([0.0, 1.0]), lam=np.array([-0.5, 1.0]))
+    with pytest.raises(ValueError):
+        AttackParams(f=np.array([0.5, np.nan]), lam=0.5)
+    with pytest.raises(ValueError):
+        AttackParams(f=0.5, lam=np.array([0.0, -0.6]))
 
 
 def test_subspace_grouping():
@@ -320,6 +328,13 @@ def test_eve_error_dominates_in_secure_region():
 def test_mutual_info_ab_endpoints():
     assert abs(mutual_info_ab(AttackParams(f=1.0, lam=1.0), 3.0) - 1.0) < 1e-12
     assert abs(mutual_info_ab(AttackParams(f=0.5, lam=0.0), 3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("v", [1e-6, -1e-6, 1e-4, -1e-4])
+def test_mutual_info_ab_small_visibility(v):
+    # Taylor series of ((1+2v) ln(1+2v) + 2(1-v) ln(1-v))/3; the next term is O(v^5)
+    series = (v**2 - v**3 / 3 + v**4 / 2) / np.log(3.0)
+    assert abs(mutual_info_ab(AttackParams(f=1.0, lam=v)) / series - 1.0) < 1e-9
 
 
 def test_mutual_info_ab_against_entropy_oracle():

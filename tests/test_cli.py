@@ -47,6 +47,40 @@ def test_bell_malformed_settings_is_usage_error():
     assert tritkd("bell", "--settings", "a,b,c;0,0,0").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sweep", "--f-min", "nan"),
+        ("sweep", "--f-max", "inf"),
+        ("sweep", "--lam-min=-inf"),
+        ("sweep", "--lam-max", "nan"),
+        ("sweep", "--log-base", "1"),
+        ("sweep", "--log-base", "0"),
+        ("sweep", "--log-base", "0.5"),
+        ("sweep", "--log-base", "nan"),
+        ("bell", "--visibility", "nan"),
+        ("crossover", "--log-base=-2"),
+        ("crossover", "--log-base", "inf"),
+        ("crossover", "--tolerance", "nan"),
+        ("crossover", "--tolerance", "1e-300"),
+    ],
+)
+def test_bad_numeric_input_is_usage_error(args, tmp_path):
+    extra = ("--out", str(tmp_path / "x.csv")) if args[0] == "sweep" else ()
+    result = tritkd(*args, *extra)
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    assert result.stdout == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, tritkd, tritkd.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"
+
+
 def test_unknown_command_is_usage_error():
     assert tritkd("frobnicate").returncode == 2
 

@@ -1,9 +1,18 @@
 """Tests for the sweep grid values and the crossover search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from tritkd.attack import AttackParams, mutual_info_ab, mutual_info_ae
+from tritkd.attack import (
+    AttackParams,
+    ab_error,
+    eve_error,
+    mutual_info_ab,
+    mutual_info_ae,
+    subspace_analysis,
+)
 from tritkd.correlations import CRITICAL_VISIBILITY
 from tritkd.sweep import CSV_COLUMNS, find_crossover, format_csv, sweep_rows
 
@@ -25,6 +34,25 @@ def test_sweep_row_invariants():
 def test_sweep_row_order_is_f_outer():
     rows = sweep_rows([0.1, 0.2], [0.3, 0.4])
     assert [(r.f, r.lam) for r in rows] == [(0.1, 0.3), (0.1, 0.4), (0.2, 0.3), (0.2, 0.4)]
+
+
+def test_sweep_rows_match_scalar_closed_forms():
+    # (1, -1/2) empties group 0 and (1, 1) empties groups 1 and 2
+    f_values, lam_values = [0.0, 0.3, 1.0], [-0.5, -0.1, 0.4, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sweep_rows(f_values, lam_values, log_base=2.0)
+    points = [(f, lam) for f in f_values for lam in lam_values]
+    assert [(r.f, r.lam) for r in rows] == points
+    for row, (f, lam) in zip(rows, points):
+        params = AttackParams(f=f, lam=lam)
+        sub = subspace_analysis(params)
+        scalars = (
+            params.visibility, sub.p[0], sub.p[1], ab_error(params), eve_error(params),
+            mutual_info_ab(params, 2.0), mutual_info_ae(params, 2.0),
+        )
+        assert all(type(x) is float for x in scalars)
+        assert (row.v, row.p0, row.p1, row.e_ab, row.e_eve, row.i_ab, row.i_ae) == scalars
 
 
 def test_format_csv_structure():
@@ -71,5 +99,16 @@ def test_crossover_log_base_invariant():
 
 
 def test_crossover_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        find_crossover(tolerance=0.0)
+    for tolerance in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            find_crossover(tolerance=tolerance)
+    # finite but below what bisection in double precision can reach
+    with pytest.raises(ValueError, match="not reached"):
+        find_crossover(tolerance=1e-300)
+
+
+@pytest.mark.parametrize("log_base", [2.0, np.e, 3.0])
+def test_crossover_fine_tolerance_hits_reference(log_base):
+    result = find_crossover(tolerance=1e-10, log_base=log_base)
+    assert abs(result.v_max - 0.6629132985) <= 1e-8
+    assert result.tolerance == 1e-10
