@@ -39,19 +39,8 @@ SUBSPACE_PAIRS = (
     ((2, 2), (1, 0), (0, 1)),
 )
 
-_PAIR_POSITION = {
-    pair: (grp, slot)
-    for grp, pairs in enumerate(SUBSPACE_PAIRS)
-    for slot, pair in enumerate(pairs)
-}
-
 # Unmatched kets in a fixed order; each gets its own orthonormal ancilla.
 _UNMATCHED = ((0, 1), (1, 0), (2, 0), (0, 2), (1, 2), (2, 1))
-
-
-def subspace_of(a: int, b: int) -> tuple[int, int]:
-    """(group, slot) of the outcome pair (a, b) under the key settings."""
-    return _PAIR_POSITION[(a, b)]
 
 
 class DegenerateDiscriminationError(ValueError):

@@ -64,22 +64,11 @@ class SimConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.setting_weights is not None:
             w = np.asarray(self.setting_weights, dtype=float)
-            if w.shape != (9,) or w.min() < 0.0 or abs(w.sum() - 1.0) > 1e-12:
+            # written so that NaN fails every comparison and is rejected
+            if w.shape != (9,) or not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
                 raise ValueError(
                     "setting_weights must be 9 nonnegative values summing to 1"
                 )
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One protocol round; eavesdropper fields exist only on attacked key rounds."""
-
-    alice_setting: int
-    bob_setting: int
-    alice_outcome: int
-    bob_outcome: int
-    eve_subspace: int | None = None
-    eve_guess: int | None = None
 
 
 @dataclass
@@ -106,24 +95,6 @@ class ProtocolTranscript:
     qber: float | None
     aborted: bool
     abort_reason: str
-
-    def records(self) -> list[TrialRecord]:
-        """Materialize the per-trial columns as record objects."""
-        out = []
-        for i in range(len(self.alice_settings)):
-            sub = int(self.eve_subspaces[i])
-            guess = int(self.eve_guesses[i])
-            out.append(
-                TrialRecord(
-                    alice_setting=int(self.alice_settings[i]),
-                    bob_setting=int(self.bob_settings[i]),
-                    alice_outcome=int(self.alice_outcomes[i]),
-                    bob_outcome=int(self.bob_outcomes[i]),
-                    eve_subspace=sub if sub >= 0 else None,
-                    eve_guess=guess if guess >= 0 else None,
-                )
-            )
-        return out
 
 
 def _outcome_tables(config: SimConfig) -> np.ndarray:
@@ -221,17 +192,18 @@ def abort_decision(
 ) -> tuple[bool, str]:
     """Abort unless the Bell estimate is confidently above the visibility threshold.
 
-    Aborts iff s_estimate + n_sigma * s_std_error < v_threshold * (quantum
-    Bell value); the default threshold is the critical visibility, i.e. the
-    local-realism line itself.
+    Aborts iff the lower confidence bound s_estimate - n_sigma * s_std_error
+    is below v_threshold * (quantum Bell value), or is not a number; the
+    default threshold is the critical visibility, i.e. the local-realism line
+    itself.
     """
     if s_std_error < 0.0:
         raise ValueError("s_std_error must be nonnegative")
     bound = v_threshold * QUANTUM_BELL_VALUE
-    margin = s_estimate + n_sigma * s_std_error
-    if margin < bound:
+    lower = s_estimate - n_sigma * s_std_error
+    if not lower >= bound:
         return True, (
-            f"bell estimate {s_estimate:.6f} (+{n_sigma:g} sigma = {margin:.6f}) "
+            f"bell estimate {s_estimate:.6f} (-{n_sigma:g} sigma = {lower:.6f}) "
             f"below threshold {bound:.6f}"
         )
     return False, f"bell estimate {s_estimate:.6f} meets threshold {bound:.6f}"
@@ -291,7 +263,8 @@ def _summarize(config, setting_idx, a, b, eve_sub, eve_guess) -> ProtocolTranscr
         key_eve = _trits_to_str(_EVE_TRIT[eve_sub[sifted], eve_guess[sifted]])
 
     if s_estimate is None:
-        aborted, reason = False, "bell estimate unavailable (no test rounds)"
+        # no Bell evidence, no key
+        aborted, reason = True, "bell estimate unavailable (no test rounds)"
     else:
         aborted, reason = abort_decision(s_estimate, s_std_error)
 
@@ -313,49 +286,45 @@ def _summarize(config, setting_idx, a, b, eve_sub, eve_guess) -> ProtocolTranscr
     )
 
 
-def extract_key(records, role: str) -> str:
-    """Key trits of one party from key-generation trial records.
-
-    Alice's trit is her outcome; Bob's is his outcome remapped through the
-    strict correlation; Eve's is the Alice symbol implied by her recorded
-    (subspace, guess).  Every record must have both settings equal to 3.
-    """
-    trits = []
-    for rec in records:
-        if rec.alice_setting != 3 or rec.bob_setting != 3:
-            raise ValueError(
-                f"key extraction needs settings (3, 3), got "
-                f"({rec.alice_setting}, {rec.bob_setting})"
-            )
-        if role == "alice":
-            trits.append(rec.alice_outcome)
-        elif role == "bob":
-            trits.append(BOB_KEY_REMAP[rec.bob_outcome])
-        elif role == "eve":
-            if rec.eve_subspace is None or rec.eve_guess is None:
-                raise ValueError("record carries no eavesdropper fields")
-            trits.append(int(_EVE_TRIT[rec.eve_subspace, rec.eve_guess]))
-        else:
-            raise ValueError(f"unknown role {role!r}")
-    return "".join(str(t) for t in trits)
-
-
 TRANSCRIPT_HEADER = "# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess"
 
 
+# Trials per transcript block, so the writer's memory does not grow with the run.
+_BLOCK_TRIALS = 1 << 20
+
+
 def write_transcript(transcript: ProtocolTranscript, path) -> None:
-    """Write one tab-separated line per trial; eve fields are '-' where absent."""
-    lines = [TRANSCRIPT_HEADER]
-    for i in range(len(transcript.alice_settings)):
-        sub = int(transcript.eve_subspaces[i])
-        guess = int(transcript.eve_guesses[i])
-        lines.append(
-            f"{i}\t{transcript.alice_settings[i]}\t{transcript.bob_settings[i]}"
-            f"\t{transcript.alice_outcomes[i]}\t{transcript.bob_outcomes[i]}"
-            f"\t{sub if sub >= 0 else '-'}\t{guess if guess >= 0 else '-'}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write one tab-separated line per trial; eve fields are '-' where absent.
+
+    Blocks never straddle a power of ten, so every line of a block has the same
+    width and the block is one uint8 table, written in a single call.
+    """
+    columns = (
+        transcript.alice_settings,
+        transcript.bob_settings,
+        transcript.alice_outcomes,
+        transcript.bob_outcomes,
+        transcript.eve_subspaces,
+        transcript.eve_guesses,
+    )
+    trials = len(transcript.alice_settings)
+    with open(path, "wb") as fh:
+        fh.write(TRANSCRIPT_HEADER.encode("ascii") + b"\n")
+        lo = 0
+        while lo < trials:
+            digits = len(str(lo))
+            hi = min(trials, lo + _BLOCK_TRIALS, 10**digits)
+            table = np.empty((hi - lo, digits + 2 * len(columns) + 1), dtype=np.uint8)
+            index = np.arange(lo, hi)
+            for k in range(digits):
+                table[:, digits - 1 - k] = index // 10**k % 10 + ord("0")
+            table[:, digits:-1:2] = ord("\t")
+            for j, col in enumerate(columns):
+                field = col[lo:hi]
+                table[:, digits + 1 + 2 * j] = np.where(field < 0, ord("-"), field + ord("0"))
+            table[:, -1] = ord("\n")
+            fh.write(table.tobytes())
+            lo = hi
 
 
 def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:

@@ -1,8 +1,9 @@
-"""Independent explicit-state oracles shared across the test suite.
+"""Independent explicit-state and scalar oracles shared across the test suite.
 
 Everything here derives its numbers from the 81-dimensional state via the
-transformation-then-slice route and raw entropy sums, never from the
-closed-form expressions under test.
+transformation-then-slice route, raw entropy sums, or one trial at a time
+from SUBSPACE_PAIRS, never from the closed-form expressions or the vectorised
+tables under test.
 """
 
 import numpy as np
@@ -76,3 +77,25 @@ def mutual_info_from_table(table, log_base=3.0):
     t = np.asarray(table, dtype=float)
     value = entropy_nats(t.sum(axis=1)) + entropy_nats(t.sum(axis=0)) - entropy_nats(t)
     return value / np.log(log_base)
+
+
+def sifted_keys(transcript):
+    """(Alice, Bob, Eve) sifted keys, built one key round at a time.
+
+    Alice's trit is her outcome; Bob's is the Alice symbol his outcome pairs
+    with in the correct-key group; Eve's is Alice's member of the pair her
+    (subspace, guess) names.  Eve's key is None when the run has no
+    eavesdropper fields.
+    """
+    alice_of_bob = {b: a for a, b in SUBSPACE_PAIRS[0]}
+    alice, bob, eve = [], [], []
+    for i in range(len(transcript.alice_settings)):
+        if transcript.alice_settings[i] != 3 or transcript.bob_settings[i] != 3:
+            continue
+        alice.append(int(transcript.alice_outcomes[i]))
+        bob.append(alice_of_bob[int(transcript.bob_outcomes[i])])
+        sub, guess = int(transcript.eve_subspaces[i]), int(transcript.eve_guesses[i])
+        if sub >= 0:
+            eve.append(SUBSPACE_PAIRS[sub][guess][0])
+    keys = ["".join(map(str, trits)) for trits in (alice, bob, eve)]
+    return keys[0], keys[1], keys[2] if eve else None

@@ -28,12 +28,12 @@ from tritkd.attack import (
     srm_directions,
     srm_success,
     subspace_analysis,
-    subspace_of,
     transformed_ancillas,
     transformed_tripartite,
 )
 from tritkd.correlations import CRITICAL_VISIBILITY, correlation_q, correlation_q_closed, joint_probs_rho
 from tritkd.quantum import max_entangled_state, standard_settings, trace_out_ancilla, vectors_from_gram
+from tritkd.simulate import _GROUP_OF_FLAT, _SLOT_OF_FLAT
 
 
 def test_params_validation():
@@ -59,9 +59,9 @@ def test_params_validation():
 
 def test_subspace_grouping():
     assert SUBSPACE_PAIRS[0] == ((0, 0), (1, 2), (2, 1))
-    assert subspace_of(0, 0) == (0, 0)
-    assert subspace_of(2, 0) == (1, 1)
-    assert subspace_of(0, 1) == (2, 2)
+    # the (group, slot) tables the simulation samples from, indexed by 3a + b
+    for (a, b), position in (((0, 0), (0, 0)), ((2, 0), (1, 1)), ((0, 1), (2, 2))):
+        assert (_GROUP_OF_FLAT[3 * a + b], _SLOT_OF_FLAT[3 * a + b]) == position
 
 
 def test_coefficients_undisturbed():

@@ -82,6 +82,13 @@ def test_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
+def test_public_names_resolve():
+    import tritkd
+
+    missing = [name for name in tritkd.__all__ if not hasattr(tritkd, name)]
+    assert missing == []
+
+
 def test_unknown_command_is_usage_error():
     assert tritkd("frobnicate").returncode == 2
 
@@ -214,6 +221,16 @@ def test_simulate_undisturbed_attack():
     assert summary["aborted"] is False
 
 
+def test_simulate_without_bell_evidence_aborts():
+    # ten trials leave some Bell-test setting pair unsampled
+    result = tritkd("simulate", "--trials", "10", "--seed", "1", "--f", "0.5", "--lam", "0")
+    assert result.returncode == 0
+    summary = json.loads(result.stdout)
+    assert summary["s_estimate"] is None
+    assert summary["aborted"] is True
+    assert "unavailable" in summary["abort_reason"]
+
+
 def test_simulate_flag_validation():
     assert tritkd("simulate", "--trials", "10", "--seed", "1").returncode == 2
     assert tritkd("simulate", "--trials", "10", "--seed", "1", "--f", "0.5").returncode == 2
@@ -224,6 +241,11 @@ def test_simulate_flag_validation():
     assert tritkd("simulate", "--trials", "10", "--seed", "1", "--f", "1.5", "--lam", "1").returncode == 2
     assert (
         tritkd("simulate", "--trials", "10", "--seed", "1", "--honest", "--weights", "1,2,3").returncode
+        == 2
+    )
+    nan_weights = ",".join(["nan"] * 9)
+    assert (
+        tritkd("simulate", "--trials", "10", "--seed", "1", "--honest", "--weights", nan_weights).returncode
         == 2
     )
     assert (

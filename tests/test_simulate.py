@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from tritkd.attack import AttackParams, ab_error, eve_error, subspace_analysis
+import tritkd.simulate
+from oracles import sifted_keys
+from tritkd.attack import SUBSPACE_PAIRS, AttackParams, ab_error, eve_error, subspace_analysis
 from tritkd.correlations import QUANTUM_BELL_VALUE, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
+    _EVE_TRIT,
+    BOB_KEY_REMAP,
     ProtocolTranscript,
     SimConfig,
-    TrialRecord,
     abort_decision,
-    extract_key,
     run,
     summary_dict,
     write_summary,
@@ -46,6 +48,10 @@ def test_config_validation():
         SimConfig(trials=10, seed=2**64)
     with pytest.raises(ValueError):
         SimConfig(trials=10, seed=1, setting_weights=(1.0,) * 9)
+    with pytest.raises(ValueError):
+        SimConfig(trials=10, seed=1, setting_weights=(float("nan"),) * 9)
+    with pytest.raises(ValueError):
+        SimConfig(trials=10, seed=1, setting_weights=(float("nan"),) + (1 / 8,) * 8)
     SimConfig(trials=10, seed=1, setting_weights=(1 / 9,) * 9)
 
 
@@ -93,10 +99,11 @@ def test_group_assignment_exact():
     assert np.array_equal(transcript.eve_subspaces >= 0, key_rounds)
     assert np.array_equal(transcript.eve_guesses >= 0, key_rounds)
 
-    records = [r for r in transcript.records() if r.alice_setting == r.bob_setting == 3]
-    assert extract_key(records, "alice") == transcript.sifted_key_alice
-    assert extract_key(records, "bob") == transcript.sifted_key_bob
-    assert extract_key(records, "eve") == transcript.sifted_key_eve
+    assert sifted_keys(transcript) == (
+        transcript.sifted_key_alice,
+        transcript.sifted_key_bob,
+        transcript.sifted_key_eve,
+    )
 
 
 def test_attack_statistics_match_theory():
@@ -154,7 +161,8 @@ def test_missing_groups_are_unavailable_not_errors():
     transcript = run(SimConfig(trials=500, seed=11, setting_weights=only_key))
     assert transcript.s_estimate is None
     assert transcript.s_std_error is None
-    assert not transcript.aborted
+    # no Bell evidence, no key: the run fails closed
+    assert transcript.aborted
     assert "unavailable" in transcript.abort_reason
     assert len(transcript.sifted_key_alice) == 500
 
@@ -166,35 +174,22 @@ def test_missing_groups_are_unavailable_not_errors():
 
 
 def test_extract_key_remaps():
-    records = [
-        TrialRecord(alice_setting=3, bob_setting=3, alice_outcome=a, bob_outcome=b)
-        for a, b in ((0, 0), (1, 2), (2, 1))
-    ]
-    assert extract_key(records, "bob") == "012"
-    assert extract_key(records, "alice") == "012"
-
-    eve_records = [
-        TrialRecord(3, 3, 0, 0, eve_subspace=0, eve_guess=1),
-        TrialRecord(3, 3, 0, 0, eve_subspace=1, eve_guess=0),
-        TrialRecord(3, 3, 0, 0, eve_subspace=2, eve_guess=2),
-    ]
+    # on a strictly correlated round Bob's outcome b names Alice's symbol
+    for a, b in SUBSPACE_PAIRS[0]:
+        assert BOB_KEY_REMAP[b] == a
     # guesses name pairs (1,2), (1,1), (0,1): alice symbols 1, 1, 0
-    assert extract_key(eve_records, "eve") == "110"
-
-    with pytest.raises(ValueError):
-        extract_key([TrialRecord(1, 3, 0, 0)], "alice")
-    with pytest.raises(ValueError):
-        extract_key(records, "eve")
-    with pytest.raises(ValueError):
-        extract_key(records, "carol")
+    assert (_EVE_TRIT[0, 1], _EVE_TRIT[1, 0], _EVE_TRIT[2, 2]) == (1, 1, 0)
 
 
 def test_abort_decision_rule():
     assert abort_decision(2.488, 0.01) == (False, abort_decision(2.488, 0.01)[1])
     aborted, reason = abort_decision(1.0, 0.01)
     assert aborted and "below threshold" in reason
-    aborted, _ = abort_decision(1.74, 0.005)
-    assert not aborted
+    # the rule is one-sided on the lower bound: 1.74 - 3 * 0.005 < sqrt(3)
+    aborted, reason = abort_decision(1.74, 0.005)
+    assert aborted and "below threshold" in reason
+    assert not abort_decision(1.76, 0.005)[0]
+    assert abort_decision(float("nan"), 0.01)[0]
     # thresholds are configurable
     aborted, _ = abort_decision(2.0, 0.001, v_threshold=0.9)
     assert aborted
@@ -228,3 +223,31 @@ def test_serialization_round_trip(tmp_path):
     blob = t_path.read_bytes()
     write_transcript(transcript, t_path)
     assert t_path.read_bytes() == blob
+
+
+def _line_by_line_transcript(transcript) -> bytes:
+    """The transcript format, one f-string per trial."""
+    lines = ["# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess"]
+    for i in range(len(transcript.alice_settings)):
+        sub = int(transcript.eve_subspaces[i])
+        guess = int(transcript.eve_guesses[i])
+        lines.append(
+            f"{i}\t{transcript.alice_settings[i]}\t{transcript.bob_settings[i]}"
+            f"\t{transcript.alice_outcomes[i]}\t{transcript.bob_outcomes[i]}"
+            f"\t{sub if sub >= 0 else '-'}\t{guess if guess >= 0 else '-'}"
+        )
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("trials", [1, 9, 10, 11, 999, 1000, 1001])
+@pytest.mark.parametrize("attack", [None, AttackParams(f=0.9, lam=0.8)], ids=["honest", "attack"])
+def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeypatch):
+    transcript = run(SimConfig(trials=trials, seed=13, attack=attack))
+    expected = _line_by_line_transcript(transcript)
+    path = tmp_path / "transcript.tsv"
+    write_transcript(transcript, path)
+    assert path.read_bytes() == expected
+    # blocks that end inside a decade as well as at its boundary
+    monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
+    write_transcript(transcript, path)
+    assert path.read_bytes() == expected
