@@ -223,6 +223,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        size = {"simulate": "--trials", "sweep": "--steps"}.get(args.command)
+        hint = f" (try fewer {size})" if size else ""
+        print(f"error: out of memory{hint}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,13 @@ BOB_KEY_REMAP = (0, 2, 1)
 # concatenate to the serial stream.
 _DRAWS_PER_TRIAL = 4
 
+# Generator.random draws are integer multiples of 2**-53.
+_DRAW_SCALE = float(2**53)
+
+# Trials per block, for sampling and for the transcript writer, so the memory
+# each adds beyond the int8 columns does not grow with the run.
+_BLOCK_TRIALS = 1 << 20
+
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.int8)
 _SLOT_OF_FLAT = np.zeros(9, dtype=np.int8)
 for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
@@ -121,6 +128,18 @@ def _eve_success_probs(params: AttackParams) -> np.ndarray:
     return np.array([w if w is not None else 1.0 / 3.0 for w in sub.w])
 
 
+def _thresholds(cum: np.ndarray) -> np.ndarray:
+    """Integer draw thresholds: u >= c exactly when k >= ceil(c * 2**53).
+
+    Generator.random returns u = k * 2**-53 with an integer k, and scaling by
+    a power of two is exact, so the comparison is carried over without
+    rounding.  Thresholds are capped at 2**53, which no k reaches, so a
+    cumsum entry that rounded above the forced top value 1.0 neither counts
+    nor unsorts the array.
+    """
+    return np.minimum(np.ceil(cum * _DRAW_SCALE), _DRAW_SCALE).astype(np.int64)
+
+
 def _simulate_shard(
     config: SimConfig,
     lo: int,
@@ -129,31 +148,54 @@ def _simulate_shard(
     cum_tables: np.ndarray,
     eve_w: np.ndarray | None,
 ) -> tuple[np.ndarray, ...]:
-    """Simulate trials [lo, hi); bitwise equal to the same slice of a full run."""
+    """Simulate trials [lo, hi); bitwise equal to the same slice of a full run.
+
+    Works in blocks of at most _BLOCK_TRIALS trials, so the memory beyond the
+    int8 output columns does not grow with the shard.  A setting or outcome
+    index is the number of cumulative bins its draw reaches, counted with
+    searchsorted on integer thresholds; the outcome thresholds of the nine
+    setting pairs are flattened into one sorted array by an integer offset of
+    setting << 53.
+    """
+    set_thresh = _thresholds(cum_settings)
+    out_thresh = (
+        _thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]
+    ).ravel()
+
+    n = hi - lo
+    setting_idx = np.empty(n, dtype=np.int8)
+    a = np.empty(n, dtype=np.int8)
+    b = np.empty(n, dtype=np.int8)
+    eve_sub = np.full(n, -1, dtype=np.int8)
+    eve_guess = np.full(n, -1, dtype=np.int8)
+
     bit_gen = Philox(key=config.seed)
     if lo:
         bit_gen.advance(lo)
-    u = Generator(bit_gen).random((hi - lo, _DRAWS_PER_TRIAL))
+    gen = Generator(bit_gen)
+    # each trial is one whole Philox block, so consecutive calls continue the
+    # serial stream
+    for start in range(0, n, _BLOCK_TRIALS):
+        stop = min(n, start + _BLOCK_TRIALS)
+        u = gen.random((stop - start, _DRAWS_PER_TRIAL))
+        k = (u[:, :2] * _DRAW_SCALE).astype(np.int64)
+        s = np.searchsorted(set_thresh, k[:, 0], side="right")
+        outcome = np.searchsorted(out_thresh, (s << 53) + k[:, 1], side="right") - 9 * s
+        setting_idx[start:stop] = s
+        a[start:stop] = outcome // 3
+        b[start:stop] = outcome % 3
 
-    setting_idx = (u[:, 0][:, None] >= cum_settings).sum(axis=1).astype(np.int8)
-    outcome = (u[:, 1][:, None] >= cum_tables[setting_idx]).sum(axis=1).astype(np.int8)
-    a = outcome // 3
-    b = outcome % 3
-
-    if eve_w is None:
-        absent = np.full(hi - lo, -1, dtype=np.int8)
-        return setting_idx, a, b, absent, absent
-
-    key_round = setting_idx == 8
-    group = _GROUP_OF_FLAT[outcome]
-    slot = _SLOT_OF_FLAT[outcome]
-    w = eve_w[group]
-    r = u[:, 2]
-    guess = np.where(
-        r < w, slot, np.where(r < (1.0 + w) / 2.0, (slot + 1) % 3, (slot + 2) % 3)
-    ).astype(np.int8)
-    eve_sub = np.where(key_round, group, np.int8(-1)).astype(np.int8)
-    eve_guess = np.where(key_round, guess, np.int8(-1)).astype(np.int8)
+        if eve_w is None:
+            continue
+        key = np.flatnonzero(s == 8)
+        flat = outcome[key]
+        group = _GROUP_OF_FLAT[flat]
+        slot = _SLOT_OF_FLAT[flat]
+        w = eve_w[group]
+        r = u[key, 2]
+        # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
+        eve_sub[start + key] = group
+        eve_guess[start + key] = (slot + (r >= w) + (r >= (1.0 + w) / 2.0)) % 3
     return setting_idx, a, b, eve_sub, eve_guess
 
 
@@ -209,16 +251,8 @@ def abort_decision(
     return False, f"bell estimate {s_estimate:.6f} meets threshold {bound:.6f}"
 
 
-def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
-    """Simulate the protocol; output is identical for any worker count.
-
-    Trials are split into contiguous shards, one per worker, each regenerating
-    its slice of the counter-based random stream; shard results are merged in
-    trial order, so the transcript depends only on the config.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
+def _sampling_tables(config: SimConfig):
+    """(cumulative setting weights, cumulative outcome tables, eve success probs)."""
     weights = (
         np.full(9, 1.0 / 9.0)
         if config.setting_weights is None
@@ -229,7 +263,20 @@ def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
     cum_tables = np.cumsum(_outcome_tables(config), axis=1)
     cum_tables[:, -1] = 1.0
     eve_w = None if config.attack is None else _eve_success_probs(config.attack)
+    return cum_settings, cum_tables, eve_w
 
+
+def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
+    """Simulate the protocol; output is identical for any worker count.
+
+    Trials are split into contiguous shards, one per worker, each regenerating
+    its slice of the counter-based random stream; shard results are merged in
+    trial order, so the transcript depends only on the config.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+    cum_settings, cum_tables, eve_w = _sampling_tables(config)
     bounds = np.linspace(0, config.trials, min(workers, config.trials) + 1).astype(int)
     shards = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(shards) == 1:
@@ -287,10 +334,6 @@ def _summarize(config, setting_idx, a, b, eve_sub, eve_guess) -> ProtocolTranscr
 
 
 TRANSCRIPT_HEADER = "# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess"
-
-
-# Trials per transcript block, so the writer's memory does not grow with the run.
-_BLOCK_TRIALS = 1 << 20
 
 
 def write_transcript(transcript: ProtocolTranscript, path) -> None:

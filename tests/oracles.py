@@ -3,13 +3,16 @@
 Everything here derives its numbers from the 81-dimensional state via the
 transformation-then-slice route, raw entropy sums, or one trial at a time
 from SUBSPACE_PAIRS, never from the closed-form expressions or the vectorised
-tables under test.
+tables under test.  The one array kernel, reference_shard, is the plain
+comparison-sum sampler the blocked searchsorted sampler is held against.
 """
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from tritkd.attack import SUBSPACE_PAIRS, srm_directions, transformed_tripartite
 from tritkd.quantum import standard_settings
+from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT, _SLOT_OF_FLAT
 
 
 def feasible_grid(n_f=20, n_lam=20):
@@ -99,3 +102,33 @@ def sifted_keys(transcript):
             eve.append(SUBSPACE_PAIRS[sub][guess][0])
     keys = ["".join(map(str, trits)) for trits in (alice, bob, eve)]
     return keys[0], keys[1], keys[2] if eve else None
+
+
+def reference_shard(config, lo, hi, cum_settings, cum_tables, eve_w):
+    """Trials [lo, hi) in one pass: each index counts the cumulative bins its
+    float draw reaches, and Eve's guess is a nested where over every trial."""
+    bit_gen = Philox(key=config.seed)
+    if lo:
+        bit_gen.advance(lo)
+    u = Generator(bit_gen).random((hi - lo, _DRAWS_PER_TRIAL))
+
+    setting_idx = (u[:, 0][:, None] >= cum_settings).sum(axis=1).astype(np.int8)
+    outcome = (u[:, 1][:, None] >= cum_tables[setting_idx]).sum(axis=1).astype(np.int8)
+    a = outcome // 3
+    b = outcome % 3
+
+    if eve_w is None:
+        absent = np.full(hi - lo, -1, dtype=np.int8)
+        return setting_idx, a, b, absent, absent
+
+    key_round = setting_idx == 8
+    group = _GROUP_OF_FLAT[outcome]
+    slot = _SLOT_OF_FLAT[outcome]
+    w = eve_w[group]
+    r = u[:, 2]
+    guess = np.where(
+        r < w, slot, np.where(r < (1.0 + w) / 2.0, (slot + 1) % 3, (slot + 2) % 3)
+    ).astype(np.int8)
+    eve_sub = np.where(key_round, group, np.int8(-1)).astype(np.int8)
+    eve_guess = np.where(key_round, guess, np.int8(-1)).astype(np.int8)
+    return setting_idx, a, b, eve_sub, eve_guess

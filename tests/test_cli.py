@@ -261,3 +261,16 @@ def test_simulate_unwritable_out_is_io_error(tmp_path):
         "simulate", "--trials", "10", "--seed", "1", "--honest", "--out", str(blocker / "sub")
     )
     assert result.returncode == 1
+
+
+def test_simulate_out_of_memory_is_runtime_error(monkeypatch, capsys):
+    import tritkd.cli
+
+    def no_memory(config, workers=1):
+        raise MemoryError
+
+    monkeypatch.setattr(tritkd.cli, "run", no_memory)
+    assert tritkd.cli.main(["simulate", "--trials", "10", "--seed", "1", "--honest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory (try fewer --trials)\n"

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import tritkd.simulate
-from oracles import sifted_keys
+from oracles import reference_shard, sifted_keys
 from tritkd.attack import SUBSPACE_PAIRS, AttackParams, ab_error, eve_error, subspace_analysis
 from tritkd.correlations import QUANTUM_BELL_VALUE, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
     _EVE_TRIT,
+    _sampling_tables,
+    _simulate_shard,
+    _thresholds,
     BOB_KEY_REMAP,
     ProtocolTranscript,
     SimConfig,
@@ -251,3 +255,68 @@ def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeyp
     monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
     write_transcript(transcript, path)
     assert path.read_bytes() == expected
+
+
+ONLY_TEST = (0.25, 0.25, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "attack, weights",
+    [
+        (None, None),
+        (AttackParams(f=0.9, lam=0.8), None),
+        (AttackParams(f=1.0, lam=1.0), None),
+        (AttackParams(f=0.5, lam=-0.5), None),
+        (AttackParams(f=0.9, lam=0.8), ONLY_TEST),
+    ],
+    ids=["honest", "attack", "undisturbed", "lam-edge", "only-test"],
+)
+def test_blocked_shard_matches_reference(attack, weights, monkeypatch):
+    config = SimConfig(trials=200, seed=31, attack=attack, setting_weights=weights)
+    tables = _sampling_tables(config)
+    # 7-trial blocks; shards that start and end inside a block, on its edges,
+    # and span many blocks
+    monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
+    for lo, hi in [(0, 1), (0, 7), (0, 200), (3, 5), (3, 20), (7, 14), (13, 101), (150, 200)]:
+        got = _simulate_shard(config, lo, hi, *tables)
+        expected = reference_shard(config, lo, hi, *tables)
+        for column, ref in zip(got, expected):
+            assert column.dtype == ref.dtype == np.int8
+            assert np.array_equal(column, ref)
+
+
+def test_thresholds_are_exact_at_the_boundary():
+    # cumulative values that are and are not multiples of 2**-53, a subnormal,
+    # values at and above 1 (cumsum rounding), zero
+    cum = np.array(
+        [0.0, 5e-324, 2.0**-53, 0.1, 1 / 3, np.nextafter(0.5, 0.0), 0.5, 1 - 2.0**-53, 1.0, 1.0 + 2.0**-52]
+    )
+    thresh = _thresholds(cum)
+    # sorted, and capped where no draw reaches
+    assert np.all(np.diff(thresh) >= 0) and thresh[-1] == thresh[-2] == 2**53
+    for c, t in zip(cum, thresh):
+        for k in (int(t) - 1, int(t)):
+            if 0 <= k < 2**53:
+                assert (k * 2.0**-53 >= c) == (k >= t)
+
+
+def test_sampler_exact_when_draws_hit_thresholds(monkeypatch):
+    # tables made of the run's own draws: every sampled index and the first
+    # key round's guess sit on a tie, where a rounded comparison would move them
+    config = SimConfig(trials=40, seed=6, attack=AttackParams(f=0.9, lam=0.8))
+    u = Generator(Philox(key=config.seed)).random((config.trials, 4))
+    cum_settings = np.append(np.sort(u[:8, 0]), 1.0)
+    cum_tables = np.tile(np.append(np.sort(u[:8, 1]), 1.0), (9, 1))
+    first_key = int(np.argmax(u[:8, 0]))
+    r = u[first_key, 2]
+    monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
+    # ties on r >= w, then on r >= (1 + w) / 2
+    for w in (r, 2.0 * r - 1.0):
+        assert 0.0 <= w <= 1.0 and r in (w, (1.0 + w) / 2.0)
+        tables = (cum_settings, cum_tables, np.full(3, w))
+        expected = reference_shard(config, 0, config.trials, *tables)
+        assert expected[0][first_key] == 8 and expected[4][first_key] >= 0
+        for lo, hi in [(0, 40), (2, 9), (5, 33)]:
+            got = _simulate_shard(config, lo, hi, *tables)
+            for column, ref in zip(got, expected):
+                assert np.array_equal(column, ref[lo:hi])
