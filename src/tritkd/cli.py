@@ -199,7 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--f", type=float, default=None, help="attack matched-block weight")
     p_sim.add_argument("--lam", type=float, default=None, help="attack ancilla overlap")
     p_sim.add_argument("--weights", type=str, default=None, help="nine setting-pair probabilities")
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="threads over disjoint trial ranges, at most one per CPU; same output for any value",
+    )
     p_sim.add_argument("--out", type=str, default=None, help="directory for transcript and summary")
     return parser
 

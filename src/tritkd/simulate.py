@@ -11,7 +11,8 @@ single-threaded stream bit for bit.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,9 @@ _DRAWS_PER_TRIAL = 4
 _DRAW_SCALE = float(2**53)
 
 # Trials per block, for sampling and for the transcript writer, so the memory
-# each adds beyond the int8 columns does not grow with the run.
-_BLOCK_TRIALS = 1 << 20
+# each adds beyond the int8 columns does not grow with the run.  Shard threads
+# share one process, so their block temporaries add up in its peak.
+_BLOCK_TRIALS = 1 << 16
 
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.int8)
 _SLOT_OF_FLAT = np.zeros(9, dtype=np.int8)
@@ -147,36 +149,34 @@ def _simulate_shard(
     cum_settings: np.ndarray,
     cum_tables: np.ndarray,
     eve_w: np.ndarray | None,
-) -> tuple[np.ndarray, ...]:
-    """Simulate trials [lo, hi); bitwise equal to the same slice of a full run.
+    columns: np.ndarray,
+) -> None:
+    """Write trials [lo, hi) into columns[:, lo:hi], bitwise equal to a full run.
 
+    columns are the run's five int8 columns (setting pair, a, b, eve subspace,
+    eve guess); every value of the slice is written, -1 where eve's are absent.
     Works in blocks of at most _BLOCK_TRIALS trials, so the memory beyond the
-    int8 output columns does not grow with the shard.  A setting or outcome
-    index is the number of cumulative bins its draw reaches, counted with
-    searchsorted on integer thresholds; the outcome thresholds of the nine
-    setting pairs are flattened into one sorted array by an integer offset of
-    setting << 53.
+    columns does not grow with the shard.  A setting or outcome index is the
+    number of cumulative bins its draw reaches, counted with searchsorted on
+    integer thresholds; the outcome thresholds of the nine setting pairs are
+    flattened into one sorted array by an integer offset of setting << 53.
     """
     set_thresh = _thresholds(cum_settings)
     out_thresh = (
         _thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]
     ).ravel()
 
-    n = hi - lo
-    setting_idx = np.empty(n, dtype=np.int8)
-    a = np.empty(n, dtype=np.int8)
-    b = np.empty(n, dtype=np.int8)
-    eve_sub = np.full(n, -1, dtype=np.int8)
-    eve_guess = np.full(n, -1, dtype=np.int8)
+    setting_idx, a, b, eve_sub, eve_guess = columns
+    eve_sub[lo:hi] = -1
+    eve_guess[lo:hi] = -1
 
     bit_gen = Philox(key=config.seed)
-    if lo:
-        bit_gen.advance(lo)
+    bit_gen.advance(lo)
     gen = Generator(bit_gen)
     # each trial is one whole Philox block, so consecutive calls continue the
     # serial stream
-    for start in range(0, n, _BLOCK_TRIALS):
-        stop = min(n, start + _BLOCK_TRIALS)
+    for start in range(lo, hi, _BLOCK_TRIALS):
+        stop = min(hi, start + _BLOCK_TRIALS)
         u = gen.random((stop - start, _DRAWS_PER_TRIAL))
         k = (u[:, :2] * _DRAW_SCALE).astype(np.int64)
         s = np.searchsorted(set_thresh, k[:, 0], side="right")
@@ -196,7 +196,6 @@ def _simulate_shard(
         # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
         eve_sub[start + key] = group
         eve_guess[start + key] = (slot + (r >= w) + (r >= (1.0 + w) / 2.0)) % 3
-    return setting_idx, a, b, eve_sub, eve_guess
 
 
 def _estimate_bell(setting_idx, a, b) -> tuple[float | None, float | None]:
@@ -270,29 +269,24 @@ def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
     """Simulate the protocol; output is identical for any worker count.
 
     Trials are split into contiguous shards, one per worker, each regenerating
-    its slice of the counter-based random stream; shard results are merged in
-    trial order, so the transcript depends only on the config.
+    its slice of the counter-based random stream into its slice of one set of
+    columns, so the transcript depends only on the config.  Shards run on
+    threads, at most one per CPU.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    cum_settings, cum_tables, eve_w = _sampling_tables(config)
+    tables = _sampling_tables(config)
     bounds = np.linspace(0, config.trials, min(workers, config.trials) + 1).astype(int)
     shards = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(shards) == 1:
-        parts = [_simulate_shard(config, 0, config.trials, cum_settings, cum_tables, eve_w)]
-    else:
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            futures = [
-                pool.submit(_simulate_shard, config, lo, hi, cum_settings, cum_tables, eve_w)
-                for lo, hi in shards
-            ]
-            parts = [f.result() for f in futures]
-
-    setting_idx, a, b, eve_sub, eve_guess = (
-        np.concatenate([part[i] for part in parts]) for i in range(5)
-    )
-    return _summarize(config, setting_idx, a, b, eve_sub, eve_guess)
+    columns = np.empty((5, config.trials), dtype=np.int8)
+    with ThreadPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
+        futures = [
+            pool.submit(_simulate_shard, config, lo, hi, *tables, columns) for lo, hi in shards
+        ]
+        for future in futures:
+            future.result()
+    return _summarize(config, *columns)
 
 
 def _summarize(config, setting_idx, a, b, eve_sub, eve_guess) -> ProtocolTranscript:

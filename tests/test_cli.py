@@ -82,6 +82,15 @@ def test_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
+def test_import_does_not_load_process_machinery():
+    # shards run on threads; process machinery would only add to every start-up
+    names = ("multiprocessing", "concurrent.futures.process")
+    code = f"import sys, tritkd, tritkd.cli; print([m for m in {names!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "[]"
+
+
 def test_public_names_resolve():
     import tritkd
 
@@ -271,6 +280,22 @@ def test_simulate_out_of_memory_is_runtime_error(monkeypatch, capsys):
 
     monkeypatch.setattr(tritkd.cli, "run", no_memory)
     assert tritkd.cli.main(["simulate", "--trials", "10", "--seed", "1", "--honest"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory (try fewer --trials)\n"
+
+
+def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys):
+    # through the real thread pool: the shard's exception reaches main
+    import tritkd.cli
+    import tritkd.simulate
+
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(tritkd.simulate, "_simulate_shard", no_memory)
+    argv = ["simulate", "--trials", "10", "--seed", "1", "--honest", "--workers", "2"]
+    assert tritkd.cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory (try fewer --trials)\n"

@@ -1,5 +1,9 @@
 """Tests for the Monte Carlo protocol engine."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -67,8 +71,33 @@ def test_same_seed_same_transcript():
 def test_worker_count_does_not_change_output():
     config = SimConfig(trials=7001, seed=9, attack=AttackParams(f=0.85, lam=0.7))
     serial = run(config, workers=1)
-    assert _transcripts_equal(serial, run(config, workers=3))
-    assert _transcripts_equal(serial, run(config, workers=8))
+    # frequent thread switches, so shards interleave their writes to the columns
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _transcripts_equal(serial, run(config, workers=3))
+        assert _transcripts_equal(serial, run(config, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_bounded_by_cpu_count(monkeypatch):
+    # sixteen shards on a two-CPU machine run on at most two threads
+    config = SimConfig(trials=1000, seed=17, attack=AttackParams(f=0.9, lam=0.8))
+    serial = run(config, workers=1)
+    threads = set()
+    shard = tritkd.simulate._simulate_shard
+
+    def recording_shard(*args):
+        threads.add(threading.get_ident())
+        # a busy thread is not reused, so an unbounded pool would start more
+        time.sleep(0.01)
+        shard(*args)
+
+    monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
+    assert _transcripts_equal(serial, run(config, workers=16))
+    assert 1 <= len(threads) <= 2
 
 
 def test_honest_run_statistics():
@@ -259,6 +288,18 @@ def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeyp
 
 ONLY_TEST = (0.25, 0.25, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
 
+# Neither -1 nor a trit, so a shard that leaves any value of its slice to the
+# caller, or writes outside it, shows.
+SENTINEL = 77
+
+
+def _shard_columns(config, lo, hi, tables):
+    """Run one shard into sentinel-filled columns; return its slice of them."""
+    columns = np.full((5, config.trials), SENTINEL, dtype=np.int8)
+    _simulate_shard(config, lo, hi, *tables, columns)
+    assert np.all(columns[:, :lo] == SENTINEL) and np.all(columns[:, hi:] == SENTINEL)
+    return columns[:, lo:hi]
+
 
 @pytest.mark.parametrize(
     "attack, weights",
@@ -278,7 +319,7 @@ def test_blocked_shard_matches_reference(attack, weights, monkeypatch):
     # and span many blocks
     monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
     for lo, hi in [(0, 1), (0, 7), (0, 200), (3, 5), (3, 20), (7, 14), (13, 101), (150, 200)]:
-        got = _simulate_shard(config, lo, hi, *tables)
+        got = _shard_columns(config, lo, hi, tables)
         expected = reference_shard(config, lo, hi, *tables)
         for column, ref in zip(got, expected):
             assert column.dtype == ref.dtype == np.int8
@@ -317,6 +358,6 @@ def test_sampler_exact_when_draws_hit_thresholds(monkeypatch):
         expected = reference_shard(config, 0, config.trials, *tables)
         assert expected[0][first_key] == 8 and expected[4][first_key] >= 0
         for lo, hi in [(0, 40), (2, 9), (5, 33)]:
-            got = _simulate_shard(config, lo, hi, *tables)
+            got = _shard_columns(config, lo, hi, tables)
             for column, ref in zip(got, expected):
                 assert np.array_equal(column, ref[lo:hi])
