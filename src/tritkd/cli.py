@@ -43,7 +43,10 @@ def _parse_triple(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated phases, got {text!r}")
-    return np.array([float(p) for p in parts])
+    phases = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases must be finite numbers, got {text!r}")
+    return phases
 
 
 def _parse_settings(text: str):
@@ -141,14 +144,8 @@ def cmd_simulate(args, parser) -> int:
 
     if args.workers < 1:
         parser.error("--workers must be >= 1")
-    weights = None
-    if args.weights is not None:
-        parts = args.weights.split(",")
-        if len(parts) != 9:
-            parser.error("--weights needs nine comma-separated probabilities")
-        weights = tuple(float(p) for p in parts)
-
     try:
+        weights = None if args.weights is None else tuple(float(p) for p in args.weights.split(","))
         config = SimConfig(trials=args.trials, seed=args.seed, attack=attack, setting_weights=weights)
     except ValueError as exc:
         parser.error(str(exc))

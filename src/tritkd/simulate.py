@@ -50,6 +50,7 @@ for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
 _EVE_TRIT = np.array(
     [[pair[0] for pair in pairs] for pairs in SUBSPACE_PAIRS], dtype=np.int8
 )
+_BOB_KEY_TRIT = np.asarray(BOB_KEY_REMAP, dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -82,28 +83,45 @@ class SimConfig:
 
 @dataclass
 class ProtocolTranscript:
-    """Everything a run produces: per-trial columns plus derived statistics.
+    """Everything a run produces: per-trial columns, their count table, statistics.
 
-    Settings are 1-based, outcomes 0-based; eve columns hold -1 where absent.
-    s_estimate/s_std_error are None when some Bell-test setting pair never
-    occurred, qber and the keys are None/empty when no key rounds occurred.
-    sifted_key_eve is None for honest-source runs.
+    columns holds one int8 row per quantity, one entry per trial: the setting
+    pair 3 * (alice - 1) + (bob - 1), Alice's and Bob's 0-based outcomes, Eve's
+    subspace and Eve's guess (-1 where absent).  counts[pair, a, b] is the
+    number of trials with that setting pair and those outcomes; every
+    statistic is a function of the table alone.  s_estimate/s_std_error are None when
+    some Bell-test setting pair never occurred, qber is None when no key
+    rounds occurred.  The sifted keys are built from the columns when read;
+    sifted_key_eve is None when no key round carries an Eve record (an honest
+    source, or no key rounds).
     """
 
-    alice_settings: np.ndarray
-    bob_settings: np.ndarray
-    alice_outcomes: np.ndarray
-    bob_outcomes: np.ndarray
-    eve_subspaces: np.ndarray
-    eve_guesses: np.ndarray
+    columns: np.ndarray
+    counts: np.ndarray
     s_estimate: float | None
     s_std_error: float | None
-    sifted_key_alice: str
-    sifted_key_bob: str
-    sifted_key_eve: str | None
     qber: float | None
     aborted: bool
     abort_reason: str
+
+    @property
+    def sifted_length(self) -> int:
+        return int(self.counts[8].sum())
+
+    @property
+    def sifted_key_alice(self) -> str:
+        return _trits_to_str(self.columns[1, self.columns[0] == 8])
+
+    @property
+    def sifted_key_bob(self) -> str:
+        return _trits_to_str(_BOB_KEY_TRIT[self.columns[2, self.columns[0] == 8]])
+
+    @property
+    def sifted_key_eve(self) -> str | None:
+        eve_sub, eve_guess = self.columns[3:, self.columns[0] == 8]
+        if eve_sub.size == 0 or eve_sub[0] < 0:
+            return None
+        return _trits_to_str(_EVE_TRIT[eve_sub, eve_guess])
 
 
 def _outcome_tables(config: SimConfig) -> np.ndarray:
@@ -150,16 +168,18 @@ def _simulate_shard(
     cum_tables: np.ndarray,
     eve_w: np.ndarray | None,
     columns: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """Write trials [lo, hi) into columns[:, lo:hi], bitwise equal to a full run.
 
     columns are the run's five int8 columns (setting pair, a, b, eve subspace,
     eve guess); every value of the slice is written, -1 where eve's are absent.
-    Works in blocks of at most _BLOCK_TRIALS trials, so the memory beyond the
-    columns does not grow with the shard.  A setting or outcome index is the
-    number of cumulative bins its draw reaches, counted with searchsorted on
-    integer thresholds; the outcome thresholds of the nine setting pairs are
-    flattened into one sorted array by an integer offset of setting << 53.
+    Returns the shard's 81 counts of 9 * setting pair + 3 * a + b.  Works in
+    blocks of at most _BLOCK_TRIALS trials, so the memory beyond the columns
+    does not grow with the shard.  A setting or outcome index is the number of
+    cumulative bins its draw reaches, counted with searchsorted on integer
+    thresholds; the outcome thresholds of the nine setting pairs are flattened
+    into one sorted array by an integer offset of setting << 53, so the count
+    of flattened bins reached is the trial's cell 9 * setting + outcome.
     """
     set_thresh = _thresholds(cum_settings)
     out_thresh = (
@@ -169,6 +189,7 @@ def _simulate_shard(
     setting_idx, a, b, eve_sub, eve_guess = columns
     eve_sub[lo:hi] = -1
     eve_guess[lo:hi] = -1
+    counts = np.zeros(81, dtype=np.int64)
 
     bit_gen = Philox(key=config.seed)
     bit_gen.advance(lo)
@@ -180,7 +201,9 @@ def _simulate_shard(
         u = gen.random((stop - start, _DRAWS_PER_TRIAL))
         k = (u[:, :2] * _DRAW_SCALE).astype(np.int64)
         s = np.searchsorted(set_thresh, k[:, 0], side="right")
-        outcome = np.searchsorted(out_thresh, (s << 53) + k[:, 1], side="right") - 9 * s
+        cell = np.searchsorted(out_thresh, (s << 53) + k[:, 1], side="right")
+        counts += np.bincount(cell, minlength=81)
+        outcome = cell - 9 * s
         setting_idx[start:stop] = s
         a[start:stop] = outcome // 3
         b[start:stop] = outcome % 3
@@ -196,28 +219,31 @@ def _simulate_shard(
         # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
         eve_sub[start + key] = group
         eve_guess[start + key] = (slot + (r >= w) + (r >= (1.0 + w) / 2.0)) % 3
+    return counts
 
 
-def _estimate_bell(setting_idx, a, b) -> tuple[float | None, float | None]:
-    """Plug-in Bell estimate from Bell-test rounds, with delta-method error.
+def _bell_from_counts(counts: np.ndarray) -> tuple[float | None, float | None]:
+    """Plug-in Bell estimate from the Bell-test counts, with delta-method error.
 
     Each of the four test setting pairs contributes the empirical mean of
     Im(weight * ALPHA**(a+b)); the variance of each mean is estimated from
-    the same sample and the four contributions are independent.
+    the same sample and the four contributions are independent.  Every sum
+    runs over the nine outcomes in a fixed order, so the result is a function
+    of the integer counts alone.
     """
     weights = {0: -ALPHA**2, 1: ALPHA, 3: ALPHA**2, 4: -ALPHA**2}
     phase = ALPHA ** np.add.outer(np.arange(3), np.arange(3))
     s = 0.0
     var = 0.0
     for idx, wgt in weights.items():
-        mask = setting_idx == idx
-        n = int(mask.sum())
+        c = counts[idx]
+        n = int(c.sum())
         if n == 0:
             return None, None
-        g = (wgt * phase).imag[a[mask], b[mask]]
-        mean = g.mean()
+        g = (wgt * phase).imag
+        mean = (c * g).sum() / n
         s += mean
-        var += (np.mean(g * g) - mean * mean) / n
+        var += ((c * (g * g)).sum() / n - mean * mean) / n
     return float(s), float(np.sqrt(max(var, 0.0)))
 
 
@@ -270,8 +296,10 @@ def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
 
     Trials are split into contiguous shards, one per worker, each regenerating
     its slice of the counter-based random stream into its slice of one set of
-    columns, so the transcript depends only on the config.  Shards run on
-    threads, at most one per CPU.
+    columns and counting its trials by setting pair and outcomes.  Shards run
+    on threads, at most one per CPU.  The shard counts add up to one table,
+    and every statistic is computed from that table, so the transcript
+    depends only on the config.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -284,47 +312,19 @@ def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
         futures = [
             pool.submit(_simulate_shard, config, lo, hi, *tables, columns) for lo, hi in shards
         ]
-        for future in futures:
-            future.result()
-    return _summarize(config, *columns)
+        counts = sum(future.result() for future in futures).reshape(9, 3, 3)
 
-
-def _summarize(config, setting_idx, a, b, eve_sub, eve_guess) -> ProtocolTranscript:
-    s_estimate, s_std_error = _estimate_bell(setting_idx, a, b)
-
-    sifted = setting_idx == 8
-    alice_trits = a[sifted]
-    bob_trits = np.asarray(BOB_KEY_REMAP, dtype=np.int8)[b[sifted]]
-    key_alice = _trits_to_str(alice_trits)
-    key_bob = _trits_to_str(bob_trits)
-    qber = float(np.mean(bob_trits != alice_trits)) if alice_trits.size else None
-
-    key_eve = None
-    if config.attack is not None:
-        key_eve = _trits_to_str(_EVE_TRIT[eve_sub[sifted], eve_guess[sifted]])
-
+    s_estimate, s_std_error = _bell_from_counts(counts)
+    key = counts[8]
+    n_key = int(key.sum())
+    errors = int(key[np.arange(3)[:, None] != _BOB_KEY_TRIT].sum())
+    qber = errors / n_key if n_key else None
     if s_estimate is None:
         # no Bell evidence, no key
         aborted, reason = True, "bell estimate unavailable (no test rounds)"
     else:
         aborted, reason = abort_decision(s_estimate, s_std_error)
-
-    return ProtocolTranscript(
-        alice_settings=(setting_idx // 3 + 1).astype(np.int8),
-        bob_settings=(setting_idx % 3 + 1).astype(np.int8),
-        alice_outcomes=a,
-        bob_outcomes=b,
-        eve_subspaces=eve_sub,
-        eve_guesses=eve_guess,
-        s_estimate=s_estimate,
-        s_std_error=s_std_error,
-        sifted_key_alice=key_alice,
-        sifted_key_bob=key_bob,
-        sifted_key_eve=key_eve,
-        qber=qber,
-        aborted=aborted,
-        abort_reason=reason,
-    )
+    return ProtocolTranscript(columns, counts, s_estimate, s_std_error, qber, aborted, reason)
 
 
 TRANSCRIPT_HEADER = "# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess"
@@ -336,28 +336,22 @@ def write_transcript(transcript: ProtocolTranscript, path) -> None:
     Blocks never straddle a power of ten, so every line of a block has the same
     width and the block is one uint8 table, written in a single call.
     """
-    columns = (
-        transcript.alice_settings,
-        transcript.bob_settings,
-        transcript.alice_outcomes,
-        transcript.bob_outcomes,
-        transcript.eve_subspaces,
-        transcript.eve_guesses,
-    )
-    trials = len(transcript.alice_settings)
+    setting_idx, *rest = transcript.columns
+    trials = len(setting_idx)
     with open(path, "wb") as fh:
         fh.write(TRANSCRIPT_HEADER.encode("ascii") + b"\n")
         lo = 0
         while lo < trials:
             digits = len(str(lo))
             hi = min(trials, lo + _BLOCK_TRIALS, 10**digits)
-            table = np.empty((hi - lo, digits + 2 * len(columns) + 1), dtype=np.uint8)
+            pair = setting_idx[lo:hi]
+            fields = (pair // 3 + 1, pair % 3 + 1, *(col[lo:hi] for col in rest))
+            table = np.empty((hi - lo, digits + 2 * len(fields) + 1), dtype=np.uint8)
             index = np.arange(lo, hi)
             for k in range(digits):
                 table[:, digits - 1 - k] = index // 10**k % 10 + ord("0")
             table[:, digits:-1:2] = ord("\t")
-            for j, col in enumerate(columns):
-                field = col[lo:hi]
+            for j, field in enumerate(fields):
                 table[:, digits + 1 + 2 * j] = np.where(field < 0, ord("-"), field + ord("0"))
             table[:, -1] = ord("\n")
             fh.write(table.tobytes())
@@ -375,7 +369,7 @@ def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
         "s_estimate": transcript.s_estimate,
         "s_std_error": transcript.s_std_error,
         "qber": transcript.qber,
-        "sifted_length": len(transcript.sifted_key_alice),
+        "sifted_length": transcript.sifted_length,
         "aborted": transcript.aborted,
         "abort_reason": transcript.abort_reason,
     }

@@ -3,14 +3,17 @@
 Everything here derives its numbers from the 81-dimensional state via the
 transformation-then-slice route, raw entropy sums, or one trial at a time
 from SUBSPACE_PAIRS, never from the closed-form expressions or the vectorised
-tables under test.  The one array kernel, reference_shard, is the plain
-comparison-sum sampler the blocked searchsorted sampler is held against.
+tables under test.  The array kernels are references the simulation is held
+against: reference_shard, the plain comparison-sum sampler behind the blocked
+searchsorted sampler, and reference_bell, the trial-ordered Bell estimate
+behind the count-table one.
 """
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from tritkd.attack import SUBSPACE_PAIRS, srm_directions, transformed_tripartite
+from tritkd.correlations import ALPHA
 from tritkd.quantum import standard_settings
 from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT, _SLOT_OF_FLAT
 
@@ -92,12 +95,12 @@ def sifted_keys(transcript):
     """
     alice_of_bob = {b: a for a, b in SUBSPACE_PAIRS[0]}
     alice, bob, eve = [], [], []
-    for i in range(len(transcript.alice_settings)):
-        if transcript.alice_settings[i] != 3 or transcript.bob_settings[i] != 3:
+    for pair, a, b, sub, guess in transcript.columns.T.tolist():
+        # key rounds only: settings (A3, B3), pair index 3 * 2 + 2
+        if pair != 8:
             continue
-        alice.append(int(transcript.alice_outcomes[i]))
-        bob.append(alice_of_bob[int(transcript.bob_outcomes[i])])
-        sub, guess = int(transcript.eve_subspaces[i]), int(transcript.eve_guesses[i])
+        alice.append(a)
+        bob.append(alice_of_bob[b])
         if sub >= 0:
             eve.append(SUBSPACE_PAIRS[sub][guess][0])
     keys = ["".join(map(str, trits)) for trits in (alice, bob, eve)]
@@ -132,3 +135,26 @@ def reference_shard(config, lo, hi, cum_settings, cum_tables, eve_w):
     eve_sub = np.where(key_round, group, np.int8(-1)).astype(np.int8)
     eve_guess = np.where(key_round, guess, np.int8(-1)).astype(np.int8)
     return setting_idx, a, b, eve_sub, eve_guess
+
+
+def reference_bell(setting_idx, a, b):
+    """Plug-in Bell estimate from Bell-test rounds, with delta-method error.
+
+    Each of the four test setting pairs contributes the empirical mean of
+    Im(weight * ALPHA**(a+b)); the variance of each mean is estimated from
+    the same sample and the four contributions are independent.
+    """
+    weights = {0: -ALPHA**2, 1: ALPHA, 3: ALPHA**2, 4: -ALPHA**2}
+    phase = ALPHA ** np.add.outer(np.arange(3), np.arange(3))
+    s = 0.0
+    var = 0.0
+    for idx, wgt in weights.items():
+        mask = setting_idx == idx
+        n = int(mask.sum())
+        if n == 0:
+            return None, None
+        g = (wgt * phase).imag[a[mask], b[mask]]
+        mean = g.mean()
+        s += mean
+        var += (np.mean(g * g) - mean * mean) / n
+    return float(s), float(np.sqrt(max(var, 0.0)))

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface via subprocess."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tritkd import cli
 from tritkd.correlations import CRITICAL_VISIBILITY
 from tritkd.sweep import CSV_COLUMNS
 
@@ -64,6 +69,9 @@ def test_bell_malformed_settings_is_usage_error():
         ("crossover", "--log-base", "inf"),
         ("crossover", "--tolerance", "nan"),
         ("crossover", "--tolerance", "1e-300"),
+        ("simulate", "--trials", "10", "--seed", "1", "--honest", "--weights", "a,0,0,0,0,0,0,0,1"),
+        ("bell", "--settings", "nan,0,0;0,0,0;0,0,0;0,0,0;0,0,0;0,0,0"),
+        ("bell", "--settings", "0,0,0;0,0,0;0,0,0;0,0,0;0,0,0;0,inf,0"),
     ],
 )
 def test_bad_numeric_input_is_usage_error(args, tmp_path):
@@ -73,6 +81,70 @@ def test_bad_numeric_input_is_usage_error(args, tmp_path):
     assert "error:" in result.stderr
     assert result.stdout == ""
     assert not (tmp_path / "x.csv").exists()
+
+
+def _outside(lo, hi):
+    """Floats, infinities included, below lo or above hi."""
+    return st.floats(max_value=lo, exclude_max=True) | st.floats(min_value=hi, exclude_min=True)
+
+
+def _bad(invalid_floats=st.nothing()):
+    """Text that is not a finite number, or one of invalid_floats."""
+    return st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "", "x", "1,5"]) | invalid_floats.map(repr)
+
+
+def _bad_int(invalid_ints):
+    return st.sampled_from(["nan", "inf", "", "x", "1.5", "1e3"]) | invalid_ints.map(str)
+
+
+def _not_weights(tokens):
+    try:
+        w = np.array([float(t) for t in tokens])
+    except ValueError:
+        return True
+    return not (w.shape == (9,) and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12)
+
+
+_SIMULATE = ["simulate", "--trials=10", "--seed=1"]
+
+# One invalid value per command line, every other value valid and small, so
+# that no draw can start a long run.
+_INVALID_ARGV = st.one_of(
+    _bad(_outside(0.0, 1.0)).map(lambda v: [*_SIMULATE, f"--f={v}", "--lam=0.5"]),
+    _bad(_outside(-0.5, 1.0)).map(lambda v: [*_SIMULATE, "--f=0.5", f"--lam={v}"]),
+    _bad().map(lambda v: ["bell", f"--visibility={v}"]),
+    _bad(st.floats(max_value=0.0)).map(lambda v: ["crossover", f"--tolerance={v}"]),
+    st.tuples(
+        st.sampled_from([["crossover"], ["sweep", "--steps=2"]]),
+        _bad(st.floats(max_value=1.0)),
+    ).map(lambda cv: [*cv[0], f"--log-base={cv[1]}"]),
+    _bad_int(st.integers(max_value=0)).map(lambda v: ["sweep", f"--steps={v}"]),
+    st.lists(st.floats().map(repr) | st.sampled_from(["x", "", "1e"]), min_size=8, max_size=10)
+    .filter(_not_weights)
+    .map(lambda w: [*_SIMULATE, "--honest", f"--weights={','.join(w)}"]),
+    _bad_int(st.integers(max_value=0)).map(lambda v: ["simulate", f"--trials={v}", "--seed=1", "--honest"]),
+    _bad_int(st.integers(max_value=-1) | st.integers(min_value=2**64)).map(
+        lambda v: ["simulate", "--trials=10", f"--seed={v}", "--honest"]
+    ),
+    _bad_int(st.integers(max_value=0)).map(lambda v: [*_SIMULATE, "--honest", f"--workers={v}"]),
+)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(argv=_INVALID_ARGV)
+def test_invalid_numbers_exit_2(argv, tmp_path_factory):
+    # parser.error exits 2; a return of 0, another exception or a written
+    # file fails the test
+    csv = tmp_path_factory.mktemp("cli") / "x.csv"
+    extra = ["--out", str(csv)] if argv[0] == "sweep" else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, *extra])
+    assert exc.value.code == 2
+    assert "error:" in err.getvalue()
+    assert out.getvalue() == ""
+    assert not csv.exists()
 
 
 def test_import_does_not_load_scipy():
@@ -192,7 +264,7 @@ GOLDEN_RUNS = {
     "honest": (
         ("--honest",),
         "bfcd61ded6c0b65081433c4c13dac2a273c98b88b0ba0e0ad9ad09d820e06a5b",
-        "39b48a0991d42e6ea2aed13e85771f9997264c1caaff7680e09b01afcc1a1d2d",
+        "b57c2db6e13101274844a34e8f1e4caa2eef0a59043bb43ea069f0cad7425317",
     ),
     "attack": (
         ("--f", "0.95", "--lam", "0.9"),

@@ -3,13 +3,16 @@
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 import tritkd.simulate
-from oracles import reference_shard, sifted_keys
+from oracles import reference_bell, reference_shard, sifted_keys
 from tritkd.attack import SUBSPACE_PAIRS, AttackParams, ab_error, eve_error, subspace_analysis
 from tritkd.correlations import QUANTUM_BELL_VALUE, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
@@ -31,12 +34,8 @@ from tritkd.simulate import (
 
 def _transcripts_equal(a: ProtocolTranscript, b: ProtocolTranscript) -> bool:
     return (
-        np.array_equal(a.alice_settings, b.alice_settings)
-        and np.array_equal(a.bob_settings, b.bob_settings)
-        and np.array_equal(a.alice_outcomes, b.alice_outcomes)
-        and np.array_equal(a.bob_outcomes, b.bob_outcomes)
-        and np.array_equal(a.eve_subspaces, b.eve_subspaces)
-        and np.array_equal(a.eve_guesses, b.eve_guesses)
+        np.array_equal(a.columns, b.columns)
+        and np.array_equal(a.counts, b.counts)
         and a.s_estimate == b.s_estimate
         and a.s_std_error == b.s_std_error
         and a.sifted_key_alice == b.sifted_key_alice
@@ -92,7 +91,7 @@ def test_threads_bounded_by_cpu_count(monkeypatch):
         threads.add(threading.get_ident())
         # a busy thread is not reused, so an unbounded pool would start more
         time.sleep(0.01)
-        shard(*args)
+        return shard(*args)
 
     monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
@@ -113,11 +112,12 @@ def test_honest_run_statistics():
     alice, bob = standard_settings()
     psi = max_entangled_state()
     bound = 5.0 / np.sqrt(config.trials)
+    setting_idx, a, b = transcript.columns[:3]
     for m in range(3):
         for n in range(3):
-            mask = (transcript.alice_settings == m + 1) & (transcript.bob_settings == n + 1)
+            mask = setting_idx == 3 * m + n
             counts = np.zeros((3, 3))
-            np.add.at(counts, (transcript.alice_outcomes[mask], transcript.bob_outcomes[mask]), 1)
+            np.add.at(counts, (a[mask], b[mask]), 1)
             freq = counts / mask.sum()
             expected = joint_probs(psi, alice[m], bob[n])
             assert 0.5 * np.abs(freq - expected).sum() < bound
@@ -126,11 +126,12 @@ def test_honest_run_statistics():
 def test_group_assignment_exact():
     config = SimConfig(trials=3000, seed=5, attack=AttackParams(f=0.8, lam=0.9))
     transcript = run(config)
-    key_rounds = (transcript.alice_settings == 3) & (transcript.bob_settings == 3)
+    setting_idx, _, _, eve_sub, eve_guess = transcript.columns
+    key_rounds = setting_idx == 8
     assert len(transcript.sifted_key_alice) == int(key_rounds.sum())
     # eve fields exist exactly on the key rounds
-    assert np.array_equal(transcript.eve_subspaces >= 0, key_rounds)
-    assert np.array_equal(transcript.eve_guesses >= 0, key_rounds)
+    assert np.array_equal(eve_sub >= 0, key_rounds)
+    assert np.array_equal(eve_guess >= 0, key_rounds)
 
     assert sifted_keys(transcript) == (
         transcript.sifted_key_alice,
@@ -151,7 +152,7 @@ def test_attack_statistics_match_theory():
 
     # eve's subspace frequencies follow the projection probabilities
     sub = subspace_analysis(params)
-    subspaces = transcript.eve_subspaces[transcript.eve_subspaces >= 0]
+    subspaces = transcript.columns[3][transcript.columns[3] >= 0]
     for grp in range(3):
         p = sub.p[grp]
         freq = np.mean(subspaces == grp)
@@ -243,7 +244,7 @@ def test_serialization_round_trip(tmp_path):
     assert len(lines) == 201
     first = lines[1].split("\t")
     assert first[0] == "0"
-    assert first[1] == str(transcript.alice_settings[0])
+    assert first[1] == str(transcript.columns[0][0] // 3 + 1)
 
     import json
 
@@ -261,12 +262,9 @@ def test_serialization_round_trip(tmp_path):
 def _line_by_line_transcript(transcript) -> bytes:
     """The transcript format, one f-string per trial."""
     lines = ["# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess"]
-    for i in range(len(transcript.alice_settings)):
-        sub = int(transcript.eve_subspaces[i])
-        guess = int(transcript.eve_guesses[i])
+    for i, (pair, a, b, sub, guess) in enumerate(transcript.columns.T.tolist()):
         lines.append(
-            f"{i}\t{transcript.alice_settings[i]}\t{transcript.bob_settings[i]}"
-            f"\t{transcript.alice_outcomes[i]}\t{transcript.bob_outcomes[i]}"
+            f"{i}\t{pair // 3 + 1}\t{pair % 3 + 1}\t{a}\t{b}"
             f"\t{sub if sub >= 0 else '-'}\t{guess if guess >= 0 else '-'}"
         )
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -293,11 +291,18 @@ ONLY_TEST = (0.25, 0.25, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
 SENTINEL = 77
 
 
+def _bincount(columns):
+    """Counts of 9 * setting pair + 3 * a + b over the trials of the columns."""
+    setting_idx, a, b = columns[:3].astype(np.int64)
+    return np.bincount(9 * setting_idx + 3 * a + b, minlength=81)
+
+
 def _shard_columns(config, lo, hi, tables):
     """Run one shard into sentinel-filled columns; return its slice of them."""
     columns = np.full((5, config.trials), SENTINEL, dtype=np.int8)
-    _simulate_shard(config, lo, hi, *tables, columns)
+    counts = _simulate_shard(config, lo, hi, *tables, columns)
     assert np.all(columns[:, :lo] == SENTINEL) and np.all(columns[:, hi:] == SENTINEL)
+    assert np.array_equal(counts, _bincount(columns[:, lo:hi]))
     return columns[:, lo:hi]
 
 
@@ -361,3 +366,41 @@ def test_sampler_exact_when_draws_hit_thresholds(monkeypatch):
             got = _shard_columns(config, lo, hi, tables)
             for column, ref in zip(got, expected):
                 assert np.array_equal(column, ref[lo:hi])
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    trials=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+    attack=st.sampled_from(
+        [None, AttackParams(f=0.9, lam=0.8), AttackParams(f=1.0, lam=1.0), AttackParams(f=0.5, lam=-0.5)]
+    ),
+    # None is uniform; otherwise small integers normalised, zeros included
+    parts=st.none() | st.lists(st.integers(0, 3), min_size=9, max_size=9).filter(any),
+    workers=st.integers(1, 8),
+    block=st.sampled_from([1, 7, 1 << 16]),
+)
+def test_count_table_is_the_summary(trials, seed, attack, parts, workers, block):
+    weights = None if parts is None else tuple(x / sum(parts) for x in parts)
+    config = SimConfig(trials=trials, seed=seed, attack=attack, setting_weights=weights)
+    reference = run(config)
+    with mock.patch.object(tritkd.simulate, "_BLOCK_TRIALS", block):
+        transcript = run(config, workers=workers)
+
+    assert transcript.counts.shape == (9, 3, 3)
+    assert np.array_equal(transcript.counts.ravel(), _bincount(transcript.columns))
+    assert np.array_equal(transcript.columns, reference.columns)
+    assert summary_dict(config, transcript) == summary_dict(config, reference)
+
+    s_ref, sigma_ref = reference_bell(*transcript.columns[:3])
+    if s_ref is None:
+        assert transcript.s_estimate is None and transcript.s_std_error is None
+    else:
+        # The same terms summed in another order differ by ulps of the terms,
+        # not of the result: each pair mean lies within +-sqrt(3)/2 and each
+        # variance term below 3 / (4 n).  So 1e-15 relative is taken of S but
+        # at least of 1, and of the variance's bound, where S or the variance
+        # cancels.
+        n = np.bincount(transcript.columns[0], minlength=9)[[0, 1, 3, 4]]
+        assert abs(transcript.s_estimate - s_ref) <= 1e-15 * max(abs(s_ref), 1.0)
+        assert abs(transcript.s_std_error**2 - sigma_ref**2) <= 1e-15 * (0.75 / n).sum()
