@@ -150,11 +150,12 @@ def cmd_simulate(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    transcript = run(config, workers=args.workers)
-    if args.out is not None:
+    if args.out is None:
+        transcript = run(config, workers=args.workers)
+    else:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_transcript(transcript, out_dir / "transcript.tsv")
+        transcript = write_transcript(config, out_dir / "transcript.tsv", workers=args.workers)
         write_summary(config, transcript, out_dir / "summary.json")
     print(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True))
     return 0

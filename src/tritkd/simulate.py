@@ -5,18 +5,19 @@ from the exact Born-rule tables of the configured source (honest pair source
 or eavesdropper-controlled), and, on key-generation trials under attack, adds
 the eavesdropper's measurement record.  Trials consume a fixed number of
 counter-based random draws, so any sharding of the trial range reproduces the
-single-threaded stream bit for bit.
+single-threaded stream bit for bit, and any trial range can be replayed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .attack import SUBSPACE_PAIRS, AttackParams, subspace_analysis, transformed_tripartite
 from .correlations import ALPHA, CRITICAL_VISIBILITY, QUANTUM_BELL_VALUE, joint_probs
@@ -31,12 +32,12 @@ BOB_KEY_REMAP = (0, 2, 1)
 # concatenate to the serial stream.
 _DRAWS_PER_TRIAL = 4
 
-# Generator.random draws are integer multiples of 2**-53.
+# A draw is the integer k = raw >> 11 of one 64-bit Philox output, the k of
+# Generator.random's u = k * 2**-53.
 _DRAW_SCALE = float(2**53)
 
-# Trials per block, for sampling and for the transcript writer, so the memory
-# each adds beyond the int8 columns does not grow with the run.  Shard threads
-# share one process, so their block temporaries add up in its peak.
+# Trials per block, so the memory a shard uses does not grow with the run.
+# Shard threads share one process, so their block temporaries add up in its peak.
 _BLOCK_TRIALS = 1 << 16
 
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.int8)
@@ -47,9 +48,7 @@ for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
         _SLOT_OF_FLAT[3 * _a + _b] = _slot
 
 # Eve's key-symbol guess implied by (group, slot): Alice's member of the pair.
-_EVE_TRIT = np.array(
-    [[pair[0] for pair in pairs] for pairs in SUBSPACE_PAIRS], dtype=np.int8
-)
+_EVE_TRIT = np.array([[pair[0] for pair in pairs] for pairs in SUBSPACE_PAIRS], dtype=np.int8)
 _BOB_KEY_TRIT = np.asarray(BOB_KEY_REMAP, dtype=np.int8)
 
 
@@ -83,20 +82,16 @@ class SimConfig:
 
 @dataclass
 class ProtocolTranscript:
-    """Everything a run produces: per-trial columns, their count table, statistics.
+    """A run's config, its count table and the statistics computed from it.
 
-    columns holds one int8 row per quantity, one entry per trial: the setting
-    pair 3 * (alice - 1) + (bob - 1), Alice's and Bob's 0-based outcomes, Eve's
-    subspace and Eve's guess (-1 where absent).  counts[pair, a, b] is the
-    number of trials with that setting pair and those outcomes; every
-    statistic is a function of the table alone.  s_estimate/s_std_error are None when
+    counts[pair, a, b] counts the trials with setting pair 3 * (alice - 1) +
+    (bob - 1) and 0-based outcomes a, b.  s_estimate/s_std_error are None when
     some Bell-test setting pair never occurred, qber is None when no key
-    rounds occurred.  The sifted keys are built from the columns when read;
-    sifted_key_eve is None when no key round carries an Eve record (an honest
-    source, or no key rounds).
+    rounds occurred.  columns and the sifted keys replay the counter-based
+    stream when read; sifted_key_eve is None when no key round has an Eve record.
     """
 
-    columns: np.ndarray
+    config: SimConfig
     counts: np.ndarray
     s_estimate: float | None
     s_std_error: float | None
@@ -108,20 +103,29 @@ class ProtocolTranscript:
     def sifted_length(self) -> int:
         return int(self.counts[8].sum())
 
-    @property
-    def sifted_key_alice(self) -> str:
-        return _trits_to_str(self.columns[1, self.columns[0] == 8])
+    def _replay(self, select) -> np.ndarray:
+        """select(block) of each block of the run, concatenated."""
+        parts = []
+        _run(self.config, 1, lambda start, block: parts.append(select(block)))
+        return np.concatenate(parts, axis=1)
 
     @property
-    def sifted_key_bob(self) -> str:
-        return _trits_to_str(_BOB_KEY_TRIT[self.columns[2, self.columns[0] == 8]])
+    def columns(self) -> np.ndarray:
+        """(5, trials) int8: setting pair, a, b, Eve's subspace and guess (-1 where absent)."""
+        return self._replay(lambda block: block)
 
-    @property
-    def sifted_key_eve(self) -> str | None:
-        eve_sub, eve_guess = self.columns[3:, self.columns[0] == 8]
-        if eve_sub.size == 0 or eve_sub[0] < 0:
-            return None
-        return _trits_to_str(_EVE_TRIT[eve_sub, eve_guess])
+    @functools.cached_property
+    def _sifted_keys(self) -> tuple[str, str, str | None]:
+        """(Alice, Bob, Eve) keys from one replay that keeps only key rounds."""
+        a, b, eve_sub, eve_guess = self._replay(lambda block: block[1:, block[0] == 8])
+        alice, bob = _trits_to_str(a), _trits_to_str(_BOB_KEY_TRIT[b])
+        if self.config.attack is None or a.size == 0:
+            return alice, bob, None
+        return alice, bob, _trits_to_str(_EVE_TRIT[eve_sub, eve_guess])
+
+    sifted_key_alice = property(lambda self: self._sifted_keys[0])
+    sifted_key_bob = property(lambda self: self._sifted_keys[1])
+    sifted_key_eve = property(lambda self: self._sifted_keys[2])
 
 
 def _outcome_tables(config: SimConfig) -> np.ndarray:
@@ -141,84 +145,61 @@ def _outcome_tables(config: SimConfig) -> np.ndarray:
     return tables
 
 
-def _eve_success_probs(params: AttackParams) -> np.ndarray:
-    sub = subspace_analysis(params)
-    # A group with w=None has probability zero and is never sampled; the
-    # placeholder keeps the array dense.
-    return np.array([w if w is not None else 1.0 / 3.0 for w in sub.w])
-
-
 def _thresholds(cum: np.ndarray) -> np.ndarray:
-    """Integer draw thresholds: u >= c exactly when k >= ceil(c * 2**53).
+    """Integer draw thresholds: u = k * 2**-53 >= c exactly when k >= ceil(c * 2**53).
 
-    Generator.random returns u = k * 2**-53 with an integer k, and scaling by
-    a power of two is exact, so the comparison is carried over without
-    rounding.  Thresholds are capped at 2**53, which no k reaches, so a
-    cumsum entry that rounded above the forced top value 1.0 neither counts
+    Scaling by a power of two is exact, so the comparison is carried over
+    without rounding.  Thresholds are capped at 2**53, which no k reaches, so
+    a cumsum entry that rounded above the forced top value 1.0 neither counts
     nor unsorts the array.
     """
     return np.minimum(np.ceil(cum * _DRAW_SCALE), _DRAW_SCALE).astype(np.int64)
 
 
-def _simulate_shard(
-    config: SimConfig,
-    lo: int,
-    hi: int,
-    cum_settings: np.ndarray,
-    cum_tables: np.ndarray,
-    eve_w: np.ndarray | None,
-    columns: np.ndarray,
-) -> np.ndarray:
-    """Write trials [lo, hi) into columns[:, lo:hi], bitwise equal to a full run.
+def _simulate_shard(config: SimConfig, lo: int, hi: int, cum_settings, cum_tables, eve_w, sink):
+    """Sample trials [lo, hi) as a full run does; return their 81 counts of
+    9 * setting pair + 3 * a + b.
 
-    columns are the run's five int8 columns (setting pair, a, b, eve subspace,
-    eve guess); every value of the slice is written, -1 where eve's are absent.
-    Returns the shard's 81 counts of 9 * setting pair + 3 * a + b.  Works in
-    blocks of at most _BLOCK_TRIALS trials, so the memory beyond the columns
-    does not grow with the shard.  A setting or outcome index is the number of
-    cumulative bins its draw reaches, counted with searchsorted on integer
-    thresholds; the outcome thresholds of the nine setting pairs are flattened
-    into one sorted array by an integer offset of setting << 53, so the count
-    of flattened bins reached is the trial's cell 9 * setting + outcome.
+    Works in blocks of at most _BLOCK_TRIALS trials that never straddle a
+    power of ten.  Unless sink is None, it calls sink(start, block) with each
+    block's int8 columns: setting pair, a, b, eve subspace and guess (-1 where
+    absent).  An index is the number of integer thresholds its draw reaches;
+    the outcome thresholds of setting s are offset by s << 53 into one sorted
+    array, so the count is the trial's cell 9 * setting + outcome.
     """
     set_thresh = _thresholds(cum_settings)
-    out_thresh = (
-        _thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]
-    ).ravel()
-
-    setting_idx, a, b, eve_sub, eve_guess = columns
-    eve_sub[lo:hi] = -1
-    eve_guess[lo:hi] = -1
+    out_thresh = (_thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]).ravel()
+    eve_thresh = None if eve_w is None else _thresholds(np.stack([eve_w, (1.0 + eve_w) / 2.0]))
     counts = np.zeros(81, dtype=np.int64)
 
-    bit_gen = Philox(key=config.seed)
-    bit_gen.advance(lo)
-    gen = Generator(bit_gen)
-    # each trial is one whole Philox block, so consecutive calls continue the
-    # serial stream
-    for start in range(lo, hi, _BLOCK_TRIALS):
-        stop = min(hi, start + _BLOCK_TRIALS)
-        u = gen.random((stop - start, _DRAWS_PER_TRIAL))
-        k = (u[:, :2] * _DRAW_SCALE).astype(np.int64)
+    bit_gen = Philox(key=config.seed).advance(lo)
+    start = lo
+    while start < hi:
+        stop = min(hi, start + _BLOCK_TRIALS, 10 ** len(str(start)))
+        n = stop - start
+        # each trial is one whole Philox block, so consecutive calls continue
+        # the serial stream; k < 2**53 fits int64 exactly
+        k = bit_gen.random_raw(_DRAWS_PER_TRIAL * n).reshape(n, _DRAWS_PER_TRIAL)
+        k = np.right_shift(k, 11, out=k).view(np.int64)
         s = np.searchsorted(set_thresh, k[:, 0], side="right")
         cell = np.searchsorted(out_thresh, (s << 53) + k[:, 1], side="right")
         counts += np.bincount(cell, minlength=81)
-        outcome = cell - 9 * s
-        setting_idx[start:stop] = s
-        a[start:stop] = outcome // 3
-        b[start:stop] = outcome % 3
-
-        if eve_w is None:
-            continue
-        key = np.flatnonzero(s == 8)
-        flat = outcome[key]
-        group = _GROUP_OF_FLAT[flat]
-        slot = _SLOT_OF_FLAT[flat]
-        w = eve_w[group]
-        r = u[key, 2]
-        # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
-        eve_sub[start + key] = group
-        eve_guess[start + key] = (slot + (r >= w) + (r >= (1.0 + w) / 2.0)) % 3
+        if sink is not None:
+            outcome = cell - 9 * s
+            block = np.full((5, n), -1, dtype=np.int8)
+            block[:3] = s, outcome // 3, outcome % 3
+            if eve_w is not None:
+                key = np.flatnonzero(s == 8)
+                flat = outcome[key]
+                group = _GROUP_OF_FLAT[flat]
+                r = k[key, 2]
+                # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
+                block[3, key] = group
+                block[4, key] = (_SLOT_OF_FLAT[flat] + (r >= eve_thresh[:, group]).sum(axis=0)) % 3
+            sink(start, block)
+        # freed before the next block is drawn, so the peak is one block's
+        del k, s, cell
+        start = stop
     return counts
 
 
@@ -277,42 +258,30 @@ def abort_decision(
 
 
 def _sampling_tables(config: SimConfig):
-    """(cumulative setting weights, cumulative outcome tables, eve success probs)."""
-    weights = (
-        np.full(9, 1.0 / 9.0)
-        if config.setting_weights is None
-        else np.asarray(config.setting_weights, dtype=float)
-    )
-    cum_settings = np.cumsum(weights)
+    """(cumulative setting weights, cumulative outcome tables, Eve's success probabilities)."""
+    weights = np.full(9, 1.0 / 9.0) if config.setting_weights is None else config.setting_weights
+    cum_settings = np.cumsum(weights, dtype=float)
     cum_settings[-1] = 1.0  # guard the top bin against cumsum rounding
     cum_tables = np.cumsum(_outcome_tables(config), axis=1)
     cum_tables[:, -1] = 1.0
-    eve_w = None if config.attack is None else _eve_success_probs(config.attack)
+    eve_w = None
+    if config.attack is not None:
+        # a group with w=None has probability zero and is never sampled
+        eve_w = np.array([1.0 / 3.0 if w is None else w for w in subspace_analysis(config.attack).w])
     return cum_settings, cum_tables, eve_w
 
 
-def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
-    """Simulate the protocol; output is identical for any worker count.
-
-    Trials are split into contiguous shards, one per worker, each regenerating
-    its slice of the counter-based random stream into its slice of one set of
-    columns and counting its trials by setting pair and outcomes.  Shards run
-    on threads, at most one per CPU.  The shard counts add up to one table,
-    and every statistic is computed from that table, so the transcript
-    depends only on the config.
-    """
+def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
+    """Sample every trial once, on shard threads; see run and write_transcript."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
     tables = _sampling_tables(config)
     bounds = np.linspace(0, config.trials, min(workers, config.trials) + 1).astype(int)
     shards = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    columns = np.empty((5, config.trials), dtype=np.int8)
     with ThreadPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(_simulate_shard, config, lo, hi, *tables, columns) for lo, hi in shards
-        ]
-        counts = sum(future.result() for future in futures).reshape(9, 3, 3)
+        shard_counts = pool.map(lambda shard: _simulate_shard(config, *shard, *tables, sink), shards)
+        counts = sum(shard_counts).reshape(9, 3, 3)
 
     s_estimate, s_std_error = _bell_from_counts(counts)
     key = counts[8]
@@ -324,38 +293,65 @@ def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
         aborted, reason = True, "bell estimate unavailable (no test rounds)"
     else:
         aborted, reason = abort_decision(s_estimate, s_std_error)
-    return ProtocolTranscript(columns, counts, s_estimate, s_std_error, qber, aborted, reason)
+    return ProtocolTranscript(config, counts, s_estimate, s_std_error, qber, aborted, reason)
 
 
-TRANSCRIPT_HEADER = "# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess"
+def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
+    """Simulate the protocol; output is identical for any worker count.
 
-
-def write_transcript(transcript: ProtocolTranscript, path) -> None:
-    """Write one tab-separated line per trial; eve fields are '-' where absent.
-
-    Blocks never straddle a power of ten, so every line of a block has the same
-    width and the block is one uint8 table, written in a single call.
+    Trials are split into contiguous shards, one per worker and at most one
+    thread per CPU, each counting its slice of the counter-based stream block
+    by block.  Every statistic comes from the sum of the shards' count tables;
+    nothing per trial is kept.
     """
-    setting_idx, *rest = transcript.columns
-    trials = len(setting_idx)
+    return _run(config, workers, None)
+
+
+TRANSCRIPT_HEADER = b"# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess\n"
+
+
+def _line_offset(i: int) -> int:
+    """Byte offset of trial i's line: the header, then len(str(j)) + 13 bytes
+    for each j < i, that is 14 bytes plus one for each power 10**p <= j."""
+    return len(TRANSCRIPT_HEADER) + 14 * i + sum(i - 10**p for p in range(1, len(str(i))))
+
+
+def _write_lines(fd: int, start: int, block: np.ndarray) -> None:
+    """Write a block's transcript lines, one width and so one uint8 table, at their
+    offset; eve fields are '-' where absent."""
+    pair, *rest = block
+    digits = len(str(start))
+    fields = (pair // 3 + 1, pair % 3 + 1, *rest)
+    table = np.empty((len(pair), digits + 2 * len(fields) + 1), dtype=np.uint8)
+    index = np.arange(start, start + len(pair))
+    for k in range(digits):
+        table[:, digits - 1 - k] = index // 10**k % 10 + ord("0")
+    table[:, digits:-1:2] = ord("\t")
+    for j, field in enumerate(fields):
+        table[:, digits + 1 + 2 * j] = np.where(field < 0, ord("-"), field + ord("0"))
+    table[:, -1] = ord("\n")
+    data, offset = table.tobytes(), _line_offset(start)
+    while data:  # pwrite may write fewer bytes than asked
+        written = os.pwrite(fd, data, offset)
+        data, offset = data[written:], offset + written
+
+
+def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTranscript:
+    """run, also writing one tab-separated line per trial to path.
+
+    Each shard thread writes each of its blocks at its own offset in the file,
+    so shards never wait on each other and the bytes do not depend on the
+    worker count.  If the run fails, path is removed before the error propagates.
+    """
     with open(path, "wb") as fh:
-        fh.write(TRANSCRIPT_HEADER.encode("ascii") + b"\n")
-        lo = 0
-        while lo < trials:
-            digits = len(str(lo))
-            hi = min(trials, lo + _BLOCK_TRIALS, 10**digits)
-            pair = setting_idx[lo:hi]
-            fields = (pair // 3 + 1, pair % 3 + 1, *(col[lo:hi] for col in rest))
-            table = np.empty((hi - lo, digits + 2 * len(fields) + 1), dtype=np.uint8)
-            index = np.arange(lo, hi)
-            for k in range(digits):
-                table[:, digits - 1 - k] = index // 10**k % 10 + ord("0")
-            table[:, digits:-1:2] = ord("\t")
-            for j, field in enumerate(fields):
-                table[:, digits + 1 + 2 * j] = np.where(field < 0, ord("-"), field + ord("0"))
-            table[:, -1] = ord("\n")
-            fh.write(table.tobytes())
-            lo = hi
+        try:
+            fh.write(TRANSCRIPT_HEADER)
+            fh.flush()
+            return _run(config, workers, functools.partial(_write_lines, fh.fileno()))
+        except BaseException:
+            fh.close()
+            os.unlink(path)
+            raise
 
 
 def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:

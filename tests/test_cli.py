@@ -357,7 +357,7 @@ def test_simulate_out_of_memory_is_runtime_error(monkeypatch, capsys):
     assert captured.err == "error: out of memory (try fewer --trials)\n"
 
 
-def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys):
+def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys, tmp_path):
     # through the real thread pool: the shard's exception reaches main
     import tritkd.cli
     import tritkd.simulate
@@ -371,3 +371,11 @@ def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory (try fewer --trials)\n"
+
+    # with --out the failed run leaves no transcript behind
+    out = tmp_path / "run"
+    assert tritkd.cli.main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory (try fewer --trials)\n"
+    assert not (out / "transcript.tsv").exists()

@@ -1,8 +1,12 @@
 """Tests for the Monte Carlo protocol engine."""
 
+import os
 import sys
+import tempfile
 import threading
 import time
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +22,7 @@ from tritkd.correlations import QUANTUM_BELL_VALUE, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
     _EVE_TRIT,
+    _line_offset,
     _sampling_tables,
     _simulate_shard,
     _thresholds,
@@ -67,23 +72,35 @@ def test_same_seed_same_transcript():
     assert _transcripts_equal(run(config), run(config))
 
 
-def test_worker_count_does_not_change_output():
+def _transcript_bytes(config, path, workers):
+    """(transcript.tsv bytes, returned transcript) of write_transcript."""
+    transcript = write_transcript(config, path, workers=workers)
+    return path.read_bytes(), transcript
+
+
+def test_worker_count_does_not_change_output(tmp_path):
     config = SimConfig(trials=7001, seed=9, attack=AttackParams(f=0.85, lam=0.7))
     serial = run(config, workers=1)
-    # frequent thread switches, so shards interleave their writes to the columns
+    serial_bytes, written = _transcript_bytes(config, tmp_path / "serial.tsv", 1)
+    assert _transcripts_equal(serial, written)
+    # frequent thread switches, so shards interleave their writes to the file
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert _transcripts_equal(serial, run(config, workers=3))
-        assert _transcripts_equal(serial, run(config, workers=8))
+        for workers in (3, 8):
+            assert _transcripts_equal(serial, run(config, workers=workers))
+            blob, written = _transcript_bytes(config, tmp_path / f"{workers}.tsv", workers)
+            assert blob == serial_bytes
+            assert _transcripts_equal(serial, written)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_threads_bounded_by_cpu_count(monkeypatch):
+def test_threads_bounded_by_cpu_count(monkeypatch, tmp_path):
     # sixteen shards on a two-CPU machine run on at most two threads
     config = SimConfig(trials=1000, seed=17, attack=AttackParams(f=0.9, lam=0.8))
     serial = run(config, workers=1)
+    serial_bytes, _ = _transcript_bytes(config, tmp_path / "serial.tsv", 1)
     threads = set()
     shard = tritkd.simulate._simulate_shard
 
@@ -95,8 +112,15 @@ def test_threads_bounded_by_cpu_count(monkeypatch):
 
     monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
-    assert _transcripts_equal(serial, run(config, workers=16))
+    bounded = run(config, workers=16)
     assert 1 <= len(threads) <= 2
+    threads.clear()
+    blob, written = _transcript_bytes(config, tmp_path / "16.tsv", 16)
+    assert 1 <= len(threads) <= 2
+    # reading columns and keys replays the stream on threads of its own
+    assert _transcripts_equal(serial, bounded)
+    assert blob == serial_bytes
+    assert _transcripts_equal(serial, written)
 
 
 def test_honest_run_statistics():
@@ -233,10 +257,10 @@ def test_abort_decision_rule():
 
 def test_serialization_round_trip(tmp_path):
     config = SimConfig(trials=200, seed=8, attack=AttackParams(f=0.9, lam=0.9))
-    transcript = run(config)
     t_path = tmp_path / "transcript.tsv"
     s_path = tmp_path / "summary.json"
-    write_transcript(transcript, t_path)
+    transcript = write_transcript(config, t_path)
+    assert _transcripts_equal(transcript, run(config))
     write_summary(config, transcript, s_path)
 
     lines = t_path.read_text().splitlines()
@@ -255,7 +279,7 @@ def test_serialization_round_trip(tmp_path):
 
     # rewriting is byte-identical
     blob = t_path.read_bytes()
-    write_transcript(transcript, t_path)
+    write_transcript(config, t_path)
     assert t_path.read_bytes() == blob
 
 
@@ -273,15 +297,60 @@ def _line_by_line_transcript(transcript) -> bytes:
 @pytest.mark.parametrize("trials", [1, 9, 10, 11, 999, 1000, 1001])
 @pytest.mark.parametrize("attack", [None, AttackParams(f=0.9, lam=0.8)], ids=["honest", "attack"])
 def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeypatch):
-    transcript = run(SimConfig(trials=trials, seed=13, attack=attack))
-    expected = _line_by_line_transcript(transcript)
+    config = SimConfig(trials=trials, seed=13, attack=attack)
+    expected = _line_by_line_transcript(run(config))
     path = tmp_path / "transcript.tsv"
-    write_transcript(transcript, path)
+    write_transcript(config, path)
     assert path.read_bytes() == expected
     # blocks that end inside a decade as well as at its boundary
     monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
-    write_transcript(transcript, path)
+    write_transcript(config, path)
     assert path.read_bytes() == expected
+    # positional writes that stop short are resumed where they stopped
+    pwrite = os.pwrite
+    monkeypatch.setattr(tritkd.simulate.os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:5], offset))
+    write_transcript(config, path, workers=2)
+    assert path.read_bytes() == expected
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    # across the decades at 10, 100 and 1000, where line widths change
+    trials=st.integers(1, 1100),
+    seed=st.integers(0, 2**64 - 1),
+    attack=st.sampled_from([None, AttackParams(f=0.9, lam=0.8)]),
+    workers=st.integers(1, 4),
+    block=st.sampled_from([1, 7, 1 << 16]),
+)
+def test_positional_writes_match_serial_bytes(trials, seed, attack, workers, block):
+    # the closed form of the line offsets against the summed line widths
+    widths = [len(str(j)) + 13 for j in range(trials)]
+    header = _line_offset(0)
+    assert [_line_offset(i) for i in range(trials + 1)] == list(header + np.cumsum([0] + widths))
+
+    config = SimConfig(trials=trials, seed=seed, attack=attack)
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, _ = _transcript_bytes(config, Path(tmp) / "serial.tsv", 1)
+        with mock.patch.object(tritkd.simulate, "_BLOCK_TRIALS", block):
+            blob, _ = _transcript_bytes(config, Path(tmp) / "sharded.tsv", workers)
+    assert blob == serial == _line_by_line_transcript(run(config))
+    # every trial's line starts where the closed form puts it
+    newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n"))
+    assert np.array_equal(newlines[:-1] + 1, [_line_offset(i) for i in range(trials)])
+
+
+def test_run_memory_does_not_grow_with_trials():
+    # no per-trial array: the traced peak is the same at 2**17 and 2**21 trials
+    def traced_peak(trials):
+        tracemalloc.start()
+        try:
+            run(SimConfig(trials=trials, seed=3, attack=AttackParams(f=0.95, lam=0.9)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1 << 10)  # one-time set-up outside the comparison
+    assert abs(traced_peak(1 << 21) - traced_peak(1 << 17)) <= 1 << 20
 
 
 ONLY_TEST = (0.25, 0.25, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
@@ -298,11 +367,27 @@ def _bincount(columns):
 
 
 def _shard_columns(config, lo, hi, tables):
-    """Run one shard into sentinel-filled columns; return its slice of them."""
+    """Run one shard, recording its blocks into sentinel-filled columns; return
+    its slice of them."""
     columns = np.full((5, config.trials), SENTINEL, dtype=np.int8)
-    counts = _simulate_shard(config, lo, hi, *tables, columns)
+    ends = [lo]
+
+    def record(start, block):
+        assert block.dtype == np.int8 and block.shape[0] == 5
+        stop = start + block.shape[1]
+        # blocks are consecutive, at most _BLOCK_TRIALS long, and never
+        # straddle a power of ten
+        assert start == ends[-1] and start < stop <= hi
+        assert stop - start <= tritkd.simulate._BLOCK_TRIALS and stop <= 10 ** len(str(start))
+        columns[:, start:stop] = block
+        ends.append(stop)
+
+    counts = _simulate_shard(config, lo, hi, *tables, record)
+    assert ends[-1] == hi
     assert np.all(columns[:, :lo] == SENTINEL) and np.all(columns[:, hi:] == SENTINEL)
     assert np.array_equal(counts, _bincount(columns[:, lo:hi]))
+    # without a sink the shard counts the same trials
+    assert np.array_equal(counts, _simulate_shard(config, lo, hi, *tables, None))
     return columns[:, lo:hi]
 
 
