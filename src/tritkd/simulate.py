@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,7 +49,9 @@ for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
         _SLOT_OF_FLAT[3 * _a + _b] = _slot
 
 # Eve's key-symbol guess implied by (group, slot): Alice's member of the pair.
-_EVE_TRIT = np.array([[pair[0] for pair in pairs] for pairs in SUBSPACE_PAIRS], dtype=np.int8)
+_EVE_TRIT = np.array(
+    [[pair[0] for pair in pairs] for pairs in SUBSPACE_PAIRS], dtype=np.int8
+)
 _BOB_KEY_TRIT = np.asarray(BOB_KEY_REMAP, dtype=np.int8)
 
 
@@ -145,6 +148,13 @@ def _outcome_tables(config: SimConfig) -> np.ndarray:
     return tables
 
 
+def _eve_success_probs(params: AttackParams) -> np.ndarray:
+    sub = subspace_analysis(params)
+    # A group with w=None has probability zero and is never sampled; the
+    # placeholder keeps the array dense.
+    return np.array([w if w is not None else 1.0 / 3.0 for w in sub.w])
+
+
 def _thresholds(cum: np.ndarray) -> np.ndarray:
     """Integer draw thresholds: u = k * 2**-53 >= c exactly when k >= ceil(c * 2**53).
 
@@ -156,7 +166,15 @@ def _thresholds(cum: np.ndarray) -> np.ndarray:
     return np.minimum(np.ceil(cum * _DRAW_SCALE), _DRAW_SCALE).astype(np.int64)
 
 
-def _simulate_shard(config: SimConfig, lo: int, hi: int, cum_settings, cum_tables, eve_w, sink):
+def _simulate_shard(
+    config: SimConfig,
+    lo: int,
+    hi: int,
+    cum_settings: np.ndarray,
+    cum_tables: np.ndarray,
+    eve_w: np.ndarray | None,
+    sink: Callable[[int, np.ndarray], None] | None,
+) -> np.ndarray:
     """Sample trials [lo, hi) as a full run does; return their 81 counts of
     9 * setting pair + 3 * a + b.
 
@@ -168,7 +186,9 @@ def _simulate_shard(config: SimConfig, lo: int, hi: int, cum_settings, cum_table
     array, so the count is the trial's cell 9 * setting + outcome.
     """
     set_thresh = _thresholds(cum_settings)
-    out_thresh = (_thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]).ravel()
+    out_thresh = (
+        _thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]
+    ).ravel()
     eve_thresh = None if eve_w is None else _thresholds(np.stack([eve_w, (1.0 + eve_w) / 2.0]))
     counts = np.zeros(81, dtype=np.int64)
 
@@ -258,16 +278,17 @@ def abort_decision(
 
 
 def _sampling_tables(config: SimConfig):
-    """(cumulative setting weights, cumulative outcome tables, Eve's success probabilities)."""
-    weights = np.full(9, 1.0 / 9.0) if config.setting_weights is None else config.setting_weights
-    cum_settings = np.cumsum(weights, dtype=float)
+    """(cumulative setting weights, cumulative outcome tables, eve success probs)."""
+    weights = (
+        np.full(9, 1.0 / 9.0)
+        if config.setting_weights is None
+        else np.asarray(config.setting_weights, dtype=float)
+    )
+    cum_settings = np.cumsum(weights)
     cum_settings[-1] = 1.0  # guard the top bin against cumsum rounding
     cum_tables = np.cumsum(_outcome_tables(config), axis=1)
     cum_tables[:, -1] = 1.0
-    eve_w = None
-    if config.attack is not None:
-        # a group with w=None has probability zero and is never sampled
-        eve_w = np.array([1.0 / 3.0 if w is None else w for w in subspace_analysis(config.attack).w])
+    eve_w = None if config.attack is None else _eve_success_probs(config.attack)
     return cum_settings, cum_tables, eve_w
 
 
@@ -280,8 +301,10 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     bounds = np.linspace(0, config.trials, min(workers, config.trials) + 1).astype(int)
     shards = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ThreadPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
-        shard_counts = pool.map(lambda shard: _simulate_shard(config, *shard, *tables, sink), shards)
-        counts = sum(shard_counts).reshape(9, 3, 3)
+        futures = [
+            pool.submit(_simulate_shard, config, lo, hi, *tables, sink) for lo, hi in shards
+        ]
+        counts = sum(future.result() for future in futures).reshape(9, 3, 3)
 
     s_estimate, s_std_error = _bell_from_counts(counts)
     key = counts[8]
@@ -342,7 +365,10 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
     Each shard thread writes each of its blocks at its own offset in the file,
     so shards never wait on each other and the bytes do not depend on the
     worker count.  If the run fails, path is removed before the error propagates.
+    Raises OSError, before creating path, where os.pwrite is missing (not POSIX).
     """
+    if not hasattr(os, "pwrite"):
+        raise OSError("writing a transcript needs os.pwrite, which this platform lacks")
     with open(path, "wb") as fh:
         try:
             fh.write(TRANSCRIPT_HEADER)

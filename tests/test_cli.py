@@ -379,3 +379,18 @@ def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == "error: out of memory (try fewer --trials)\n"
     assert not (out / "transcript.tsv").exists()
+
+
+def test_simulate_out_without_pwrite_is_io_error(monkeypatch, capsys, tmp_path):
+    # where os.pwrite is missing, --out exits 1 with a message, not a traceback
+    import tritkd.cli
+    import tritkd.simulate
+
+    monkeypatch.delattr(tritkd.simulate.os, "pwrite")
+    out = tmp_path / "run"
+    argv = ["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", str(out)]
+    assert tritkd.cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: writing a transcript needs os.pwrite, which this platform lacks\n"
+    assert not (out / "transcript.tsv").exists()

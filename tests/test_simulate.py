@@ -27,6 +27,7 @@ from tritkd.simulate import (
     _simulate_shard,
     _thresholds,
     BOB_KEY_REMAP,
+    TRANSCRIPT_HEADER,
     ProtocolTranscript,
     SimConfig,
     abort_decision,
@@ -313,30 +314,17 @@ def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeyp
     assert path.read_bytes() == expected
 
 
-@settings(deadline=None, max_examples=40, derandomize=True)
-@given(
-    # across the decades at 10, 100 and 1000, where line widths change
-    trials=st.integers(1, 1100),
-    seed=st.integers(0, 2**64 - 1),
-    attack=st.sampled_from([None, AttackParams(f=0.9, lam=0.8)]),
-    workers=st.integers(1, 4),
-    block=st.sampled_from([1, 7, 1 << 16]),
-)
-def test_positional_writes_match_serial_bytes(trials, seed, attack, workers, block):
-    # the closed form of the line offsets against the summed line widths
-    widths = [len(str(j)) + 13 for j in range(trials)]
-    header = _line_offset(0)
-    assert [_line_offset(i) for i in range(trials + 1)] == list(header + np.cumsum([0] + widths))
-
-    config = SimConfig(trials=trials, seed=seed, attack=attack)
-    with tempfile.TemporaryDirectory() as tmp:
-        serial, _ = _transcript_bytes(config, Path(tmp) / "serial.tsv", 1)
-        with mock.patch.object(tritkd.simulate, "_BLOCK_TRIALS", block):
-            blob, _ = _transcript_bytes(config, Path(tmp) / "sharded.tsv", workers)
-    assert blob == serial == _line_by_line_transcript(run(config))
-    # every trial's line starts where the closed form puts it
-    newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n"))
-    assert np.array_equal(newlines[:-1] + 1, [_line_offset(i) for i in range(trials)])
+def test_line_offset_closed_form():
+    # the closed form against the summed line widths len(str(j)) + 13, across
+    # the decades at 10, 100, 1000 and 10000 where the widths change
+    widths = [len(str(j)) + 13 for j in range(20001)]
+    offsets = len(TRANSCRIPT_HEADER) + np.cumsum([0] + widths)
+    assert [_line_offset(i) for i in range(len(offsets))] == offsets.tolist()
+    # and far out, one decade at a time
+    i, expected = 10**12 + 5, len(TRANSCRIPT_HEADER)
+    for p in range(13):
+        expected += (min(i, 10 ** (p + 1)) - (10**p if p else 0)) * (p + 14)
+    assert _line_offset(i) == expected
 
 
 def test_run_memory_does_not_grow_with_trials():
@@ -469,15 +457,26 @@ def test_count_table_is_the_summary(trials, seed, attack, parts, workers, block)
     weights = None if parts is None else tuple(x / sum(parts) for x in parts)
     config = SimConfig(trials=trials, seed=seed, attack=attack, setting_weights=weights)
     reference = run(config)
-    with mock.patch.object(tritkd.simulate, "_BLOCK_TRIALS", block):
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(tritkd.simulate, "_BLOCK_TRIALS", block),
+    ):
         transcript = run(config, workers=workers)
+        blob, written = _transcript_bytes(config, Path(tmp) / "transcript.tsv", workers)
+
+    # the serial run's columns, replayed; the sharded run's, as written
+    columns = reference.columns
+    assert blob == _line_by_line_transcript(reference)
+    newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n"))
+    assert np.array_equal(newlines[:-1] + 1, [_line_offset(i) for i in range(trials)])
 
     assert transcript.counts.shape == (9, 3, 3)
-    assert np.array_equal(transcript.counts.ravel(), _bincount(transcript.columns))
-    assert np.array_equal(transcript.columns, reference.columns)
+    assert np.array_equal(transcript.counts.ravel(), _bincount(columns))
+    assert np.array_equal(written.counts, transcript.counts)
     assert summary_dict(config, transcript) == summary_dict(config, reference)
+    assert summary_dict(config, written) == summary_dict(config, reference)
 
-    s_ref, sigma_ref = reference_bell(*transcript.columns[:3])
+    s_ref, sigma_ref = reference_bell(*columns[:3])
     if s_ref is None:
         assert transcript.s_estimate is None and transcript.s_std_error is None
     else:
@@ -486,6 +485,6 @@ def test_count_table_is_the_summary(trials, seed, attack, parts, workers, block)
         # variance term below 3 / (4 n).  So 1e-15 relative is taken of S but
         # at least of 1, and of the variance's bound, where S or the variance
         # cancels.
-        n = np.bincount(transcript.columns[0], minlength=9)[[0, 1, 3, 4]]
+        n = np.bincount(columns[0], minlength=9)[[0, 1, 3, 4]]
         assert abs(transcript.s_estimate - s_ref) <= 1e-15 * max(abs(s_ref), 1.0)
         assert abs(transcript.s_std_error**2 - sigma_ref**2) <= 1e-15 * (0.75 / n).sum()
