@@ -240,6 +240,29 @@ def test_sweep_unwritable_path_is_io_error(tmp_path):
     assert result.stderr
 
 
+# SHA-256 of `sweep` CSVs: the default grid, a benchmark-sized grid in base 2,
+# and a clipped grid in base e; a rewrite of the formatter must keep them.
+GOLDEN_SWEEPS = [
+    (("--steps", "50"), "0a6a705a60dfbdc9c63e0b8a7a7822cdc11c5a2e5f767a32d1003c30af86eaa6"),
+    (
+        ("--f-min", "0.004", "--lam-max", "0.995", "--steps", "100", "--log-base", "2"),
+        "322d02b9c058c320e4c1a725f6809e7e9fdc436488867ec62f21b09822401e0b",
+    ),
+    (
+        ("--f-min", "-1", "--f-max", "2", "--lam-min", "-3", "--steps", "37",
+         "--log-base", "2.718281828459045"),
+        "61c990884af638a812363154aa60436f02f7171743910f83ceef89aeaea24b54",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, sha", GOLDEN_SWEEPS, ids=["default", "base-2", "clipped-base-e"])
+def test_sweep_reproducible_bytes(args, sha, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert tritkd("sweep", *args, "--out", str(out)).returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
 def test_crossover_defaults(tmp_path):
     result = tritkd("crossover")
     assert result.returncode == 0
