@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import (
-    ALPHA,
     inv_sqrt,
     chi_state,
     max_entangled_state,
-    standard_settings,
     tensor,
     trace_out_ancilla,
     tritter_unitary,
@@ -169,45 +167,6 @@ def transformed_tripartite(params: AttackParams, phases_a, phases_b) -> np.ndarr
     return tensor(u, np.eye(9)) @ build_tripartite(params)
 
 
-def transformed_ancillas(params: AttackParams) -> dict[tuple[int, int], np.ndarray]:
-    """Unnormalized ancilla components conditioned on outcomes, key settings.
-
-    Entry (a, b) is Eve's (unnormalized) ancilla state given that Alice got a
-    and Bob got b with both observers on their third setting.  Built directly
-    from the transformation amplitudes: the matched term of pair (a, b) sums
-    ALPHA**((a+b)*k) over k, the unmatched term ALPHA**(a*m + b*n) over the
-    six (m, n), each with the corresponding exit-phase factor.  Stacking the
-    nine entries in ket order reproduces transformed_tripartite on the key
-    settings.
-    """
-    f = params.f
-    g = 1.0 - f
-    alice, bob = standard_settings()
-    pa, pb = alice[2], bob[2]
-    states = build_ancilla_states(params)
-
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(3):
-        for b in range(3):
-            acc = np.zeros(9, dtype=complex)
-            for k in range(3):
-                acc += (
-                    np.sqrt(f / 3.0)
-                    * ALPHA ** ((a + b) * k)
-                    * np.exp(1j * (pa[k] + pb[k]))
-                    * states[(k, k)]
-                )
-            for m, n in _UNMATCHED:
-                acc += (
-                    np.sqrt(g / 6.0)
-                    * ALPHA ** (a * m + b * n)
-                    * np.exp(1j * (pa[m] + pb[n]))
-                    * states[(m, n)]
-                )
-            out[(a, b)] = acc / 3.0
-    return out
-
-
 def srm_success(overlap: float):
     """Success probability of the square-root measurement on three symmetric states.
 
@@ -305,23 +264,11 @@ def ab_error(params: AttackParams) -> float | np.ndarray:
     return 2.0 * (1.0 - params.visibility) / 3.0
 
 
-def ab_joint_table(params: AttackParams) -> np.ndarray:
-    """Joint outcome distribution of (Alice, Bob) under the key settings.
-
-    The three correct pairs carry (1 + 2v)/9 each, the six error pairs
-    (1 - v)/9 each, v = f*lam.
-    """
-    v = params.visibility
-    table = np.full((3, 3), (1.0 - v) / 9.0)
-    for a, b in SUBSPACE_PAIRS[0]:
-        table[a, b] = (1.0 + 2.0 * v) / 9.0
-    return table
-
-
 def mutual_info_ab(params: AttackParams, log_base: float = 3.0) -> float | np.ndarray:
     """Mutual information per sifted symbol between Alice and Bob.
 
-    Both marginals are uniform and the joint table is ab_joint_table, so
+    Both marginals are uniform, and the three correct pairs carry (1 + 2v)/9
+    each and the six error pairs (1 - v)/9 each, so
 
         I = ((1 + 2v) log(1 + 2v) + 2(1 - v) log(1 - v)) / 3,
 

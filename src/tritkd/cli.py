@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on runtime/IO failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -57,11 +58,14 @@ def _parse_settings(text: str):
     return tuple(vecs[:3]), tuple(vecs[3:])
 
 
-def cmd_bell(args) -> int:
+def cmd_bell(args, parser) -> int:
     if args.settings is None:
         alice, bob = standard_settings()
     else:
-        alice, bob = args.settings
+        try:
+            alice, bob = _parse_settings(args.settings)
+        except ValueError as exc:
+            parser.error(str(exc))
     v = args.visibility
 
     q = {
@@ -115,18 +119,7 @@ def cmd_crossover(args, parser) -> int:
         result = find_crossover(tolerance=args.tolerance, log_base=args.log_base)
     except ValueError as exc:
         parser.error(str(exc))
-    print(
-        json.dumps(
-            {
-                "v_max": result.v_max,
-                "argmax_f": result.argmax_f,
-                "argmax_lam": result.argmax_lam,
-                "tolerance": result.tolerance,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True))
     return 0
 
 
@@ -210,19 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bell" and args.settings is not None:
-        try:
-            args.settings = _parse_settings(args.settings)
-        except ValueError as exc:
-            parser.error(str(exc))
+    commands = {
+        "bell": cmd_bell,
+        "sweep": cmd_sweep,
+        "crossover": cmd_crossover,
+        "simulate": cmd_simulate,
+    }
     try:
-        if args.command == "bell":
-            return cmd_bell(args)
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        if args.command == "crossover":
-            return cmd_crossover(args, parser)
-        return cmd_simulate(args, parser)
+        return commands[args.command](args, parser)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

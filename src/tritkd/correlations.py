@@ -10,7 +10,9 @@ from .quantum import ALPHA, tensor, tritter_unitary
 LOCAL_REALISM_BOUND = np.sqrt(3.0)
 # Value reached by the source state with the standard settings.
 QUANTUM_BELL_VALUE = 2.0 * (2.0 + np.sqrt(3.0)) / 3.0
-# Visibility below which the Bell inequality is no longer violated.
+# Visibility below which the Bell inequality is no longer violated, exactly
+# LOCAL_REALISM_BOUND / QUANTUM_BELL_VALUE: attenuating every correlation by
+# it lands the Bell quantity on the local-realism line.
 CRITICAL_VISIBILITY = (6.0 * np.sqrt(3.0) - 9.0) / 2.0
 
 _OUTCOME_PHASE = ALPHA ** np.add.outer(np.arange(3), np.arange(3))
@@ -38,16 +40,6 @@ def joint_probs(state, phases_a, phases_b) -> np.ndarray:
     return _checked_table(np.abs(amp.reshape(3, 3)) ** 2)
 
 
-def joint_probs_rho(rho, phases_a, phases_b) -> np.ndarray:
-    """Same table as joint_probs for a 9x9 two-qutrit density matrix."""
-    r = np.asarray(rho, dtype=complex)
-    if r.shape != (9, 9):
-        raise ValueError(f"density matrix must be 9x9, got shape {r.shape}")
-    u = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b))
-    p = np.einsum("ij,jk,ik->i", u, r, u.conj()).real
-    return _checked_table(p.reshape(3, 3))
-
-
 def correlation_q(table) -> complex:
     """Complex correlation: sum of ALPHA**(a+b) * p[a, b] over the table."""
     p = np.asarray(table, dtype=float)
@@ -72,12 +64,3 @@ def bell_s(q11: complex, q12: complex, q21: complex, q22: complex) -> float:
     """Bell quantity Im(-ALPHA**2*q11 + ALPHA*q12 + ALPHA**2*q21 - ALPHA**2*q22)."""
     a2 = ALPHA**2
     return float((-a2 * q11 + ALPHA * q12 + a2 * q21 - a2 * q22).imag)
-
-
-def thresholds() -> tuple[float, float, float]:
-    """(local-realism bound, quantum Bell value, critical visibility).
-
-    The critical visibility is exactly bound/value: attenuating all
-    correlations by it lands the Bell quantity on the local-realism line.
-    """
-    return (LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, CRITICAL_VISIBILITY)

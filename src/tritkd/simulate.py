@@ -54,6 +54,12 @@ _EVE_TRIT = np.array(
 )
 _BOB_KEY_TRIT = np.asarray(BOB_KEY_REMAP, dtype=np.int8)
 
+# The abort rule holds the Bell estimate's lower confidence bound, S minus
+# _ABORT_SIGMAS standard errors, against the local-realism line V0 * (quantum
+# Bell value).
+_ABORT_BOUND = CRITICAL_VISIBILITY * QUANTUM_BELL_VALUE
+_ABORT_SIGMAS = 3.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -252,29 +258,21 @@ def _trits_to_str(trits: np.ndarray) -> str:
     return (trits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def abort_decision(
-    s_estimate: float,
-    s_std_error: float,
-    v_threshold: float = CRITICAL_VISIBILITY,
-    n_sigma: float = 3.0,
-) -> tuple[bool, str]:
-    """Abort unless the Bell estimate is confidently above the visibility threshold.
+def abort_decision(s_estimate: float, s_std_error: float) -> tuple[bool, str]:
+    """Abort unless the Bell estimate is confidently above the local-realism line.
 
-    Aborts iff the lower confidence bound s_estimate - n_sigma * s_std_error
-    is below v_threshold * (quantum Bell value), or is not a number; the
-    default threshold is the critical visibility, i.e. the local-realism line
-    itself.
+    Aborts iff the lower confidence bound s_estimate - 3 * s_std_error is
+    below CRITICAL_VISIBILITY * QUANTUM_BELL_VALUE, or is not a number.
     """
     if s_std_error < 0.0:
         raise ValueError("s_std_error must be nonnegative")
-    bound = v_threshold * QUANTUM_BELL_VALUE
-    lower = s_estimate - n_sigma * s_std_error
-    if not lower >= bound:
+    lower = s_estimate - _ABORT_SIGMAS * s_std_error
+    if not lower >= _ABORT_BOUND:
         return True, (
-            f"bell estimate {s_estimate:.6f} (-{n_sigma:g} sigma = {lower:.6f}) "
-            f"below threshold {bound:.6f}"
+            f"bell estimate {s_estimate:.6f} (-{_ABORT_SIGMAS:g} sigma = {lower:.6f}) "
+            f"below threshold {_ABORT_BOUND:.6f}"
         )
-    return False, f"bell estimate {s_estimate:.6f} meets threshold {bound:.6f}"
+    return False, f"bell estimate {s_estimate:.6f} meets threshold {_ABORT_BOUND:.6f}"
 
 
 def _sampling_tables(config: SimConfig):
@@ -298,9 +296,11 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
         raise ValueError("workers must be >= 1")
 
     tables = _sampling_tables(config)
-    bounds = np.linspace(0, config.trials, min(workers, config.trials) + 1).astype(int)
-    shards = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
+    # one shard per thread: more shards than CPUs would only queue
+    n_shards = min(workers, os.cpu_count() or 1, config.trials)
+    bounds = np.linspace(0, config.trials, n_shards + 1).astype(int)
+    shards = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    with ThreadPoolExecutor(max_workers=n_shards) as pool:
         futures = [
             pool.submit(_simulate_shard, config, lo, hi, *tables, sink) for lo, hi in shards
         ]
@@ -322,10 +322,10 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
 def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
     """Simulate the protocol; output is identical for any worker count.
 
-    Trials are split into contiguous shards, one per worker and at most one
-    thread per CPU, each counting its slice of the counter-based stream block
-    by block.  Every statistic comes from the sum of the shards' count tables;
-    nothing per trial is kept.
+    Trials are split into contiguous shards, one per worker but at most one
+    per CPU, each on its own thread counting its slice of the counter-based
+    stream block by block.  Every statistic comes from the sum of the shards'
+    count tables; nothing per trial is kept.
     """
     return _run(config, workers, None)
 

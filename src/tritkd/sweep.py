@@ -40,23 +40,6 @@ _BISECTIONS = 200
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """All derived quantities at one (f, lam) grid point."""
-
-    f: float
-    lam: float
-    v: float
-    p0: float
-    p1: float
-    e_ab: float
-    e_eve: float
-    i_ab: float
-    i_ae: float
-    bell_violated: bool
-    secure: bool
-
-
-@dataclass(frozen=True)
 class CrossoverResult:
     """Largest visibility at which the eavesdropper matches the parties' information."""
 
@@ -66,8 +49,12 @@ class CrossoverResult:
     tolerance: float
 
 
-def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> list[SweepRow]:
-    """Evaluate every (f, lam) pair, f outermost, both axes in given order."""
+def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
+    """Evaluate every (f, lam) pair, f outermost, both axes in given order.
+
+    One record per grid point, with the fields named by CSV_COLUMNS;
+    bell_violated and secure are booleans, the rest floats.
+    """
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
     params = AttackParams(f=f.ravel(), lam=lam.ravel())
     v = params.visibility
@@ -79,19 +66,16 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> list[SweepRow]:
         v >= CRITICAL_VISIBILITY - 1e-12,
         i_ab > i_ae,
     )
-    return [SweepRow(*values) for values in zip(*(c.tolist() for c in columns))]
+    return np.rec.fromarrays(columns, names=CSV_COLUMNS)
 
 
 def format_csv(rows, comments=()) -> str:
-    """Render rows as CSV with '#' comment lines, 9 significant digits."""
+    """Render sweep_rows records as CSV with '#' comment lines, 9 significant
+    digits; the boolean flags print as 1 and 0."""
+    template = ",".join(["%.9g"] * len(CSV_COLUMNS))
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(CSV_COLUMNS))
-    for r in rows:
-        reals = (r.f, r.lam, r.v, r.p0, r.p1, r.e_ab, r.e_eve, r.i_ab, r.i_ae)
-        lines.append(
-            ",".join(f"{x:.9g}" for x in reals)
-            + f",{1 if r.bell_violated else 0},{1 if r.secure else 0}"
-        )
+    lines.extend(template % row for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

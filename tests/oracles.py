@@ -1,8 +1,9 @@
 """Independent explicit-state and scalar oracles shared across the test suite.
 
 Everything here derives its numbers from the 81-dimensional state via the
-transformation-then-slice route, raw entropy sums, or one trial at a time
-from SUBSPACE_PAIRS, never from the closed-form expressions or the vectorised
+transformation-then-slice route, the transformation amplitudes term by term,
+a density matrix, raw entropy sums, or one trial at a time from
+SUBSPACE_PAIRS, never from the closed-form expressions or the vectorised
 tables under test.  The array kernels are references the simulation is held
 against: reference_shard, the plain comparison-sum sampler behind the blocked
 searchsorted sampler, and reference_bell, the trial-ordered Bell estimate
@@ -12,9 +13,15 @@ behind the count-table one.
 import numpy as np
 from numpy.random import Generator, Philox
 
-from tritkd.attack import SUBSPACE_PAIRS, srm_directions, transformed_tripartite
-from tritkd.correlations import ALPHA
-from tritkd.quantum import standard_settings
+from tritkd.attack import (
+    _UNMATCHED,
+    SUBSPACE_PAIRS,
+    build_ancilla_states,
+    srm_directions,
+    transformed_tripartite,
+)
+from tritkd.correlations import ALPHA, _checked_table
+from tritkd.quantum import standard_settings, tensor, tritter_unitary
 from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT, _SLOT_OF_FLAT
 
 
@@ -29,6 +36,55 @@ def conditional_ancillas(params):
     psi = transformed_tripartite(params, alice[2], bob[2])
     m = psi.reshape(9, 9)
     return {(a, b): m[3 * a + b] for a in range(3) for b in range(3)}
+
+
+def transformed_ancillas(params):
+    """Unnormalized ancilla components conditioned on outcomes, key settings.
+
+    Entry (a, b) is Eve's (unnormalized) ancilla state given that Alice got a
+    and Bob got b with both observers on their third setting.  Built directly
+    from the transformation amplitudes: the matched term of pair (a, b) sums
+    ALPHA**((a+b)*k) over k, the unmatched term ALPHA**(a*m + b*n) over the
+    six (m, n), each with the corresponding exit-phase factor.  Stacking the
+    nine entries in ket order reproduces transformed_tripartite on the key
+    settings.
+    """
+    f = params.f
+    g = 1.0 - f
+    alice, bob = standard_settings()
+    pa, pb = alice[2], bob[2]
+    states = build_ancilla_states(params)
+
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for a in range(3):
+        for b in range(3):
+            acc = np.zeros(9, dtype=complex)
+            for k in range(3):
+                acc += (
+                    np.sqrt(f / 3.0)
+                    * ALPHA ** ((a + b) * k)
+                    * np.exp(1j * (pa[k] + pb[k]))
+                    * states[(k, k)]
+                )
+            for m, n in _UNMATCHED:
+                acc += (
+                    np.sqrt(g / 6.0)
+                    * ALPHA ** (a * m + b * n)
+                    * np.exp(1j * (pa[m] + pb[n]))
+                    * states[(m, n)]
+                )
+            out[(a, b)] = acc / 3.0
+    return out
+
+
+def joint_probs_rho(rho, phases_a, phases_b):
+    """Same table as joint_probs for a 9x9 two-qutrit density matrix."""
+    r = np.asarray(rho, dtype=complex)
+    if r.shape != (9, 9):
+        raise ValueError(f"density matrix must be 9x9, got shape {r.shape}")
+    u = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b))
+    p = np.einsum("ij,jk,ik->i", u, r, u.conj()).real
+    return _checked_table(p.reshape(3, 3))
 
 
 def explicit_subspace_quantities(params):

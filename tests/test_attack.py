@@ -9,14 +9,15 @@ from oracles import (
     eve_joint_table_explicit,
     explicit_subspace_quantities,
     feasible_grid,
+    joint_probs_rho,
     mutual_info_from_table,
+    transformed_ancillas,
 )
 from tritkd.attack import (
     SUBSPACE_PAIRS,
     AttackParams,
     DegenerateDiscriminationError,
     ab_error,
-    ab_joint_table,
     build_ancilla_states,
     build_tripartite,
     coefficients,
@@ -28,10 +29,9 @@ from tritkd.attack import (
     srm_directions,
     srm_success,
     subspace_analysis,
-    transformed_ancillas,
     transformed_tripartite,
 )
-from tritkd.correlations import CRITICAL_VISIBILITY, correlation_q, correlation_q_closed, joint_probs_rho
+from tritkd.correlations import CRITICAL_VISIBILITY, correlation_q, correlation_q_closed
 from tritkd.quantum import max_entangled_state, standard_settings, trace_out_ancilla, vectors_from_gram
 from tritkd.simulate import _GROUP_OF_FLAT, _SLOT_OF_FLAT
 
@@ -339,9 +339,6 @@ def test_mutual_info_ab_small_visibility(v):
 
 def test_mutual_info_ab_against_entropy_oracle():
     params = AttackParams(f=0.9, lam=0.8)
-    table = ab_joint_table(params)
-    assert abs(mutual_info_ab(params, 3.0) - mutual_info_from_table(table, 3.0)) < 1e-12
-    # and against the table built from the explicit state
     explicit = ab_joint_table_explicit(params)
     assert abs(mutual_info_ab(params, 3.0) - mutual_info_from_table(explicit, 3.0)) < 1e-12
 

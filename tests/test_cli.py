@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,19 @@ def test_public_names_resolve():
 
     missing = [name for name in tritkd.__all__ if not hasattr(tritkd, name)]
     assert missing == []
+
+
+def _readme_cli_examples():
+    """The `tritkd ...` lines of the README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("tritkd ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_examples_run(line, tmp_path):
+    result = tritkd(*shlex.split(line)[1:], cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 def test_unknown_command_is_usage_error():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import joint_probs_rho
 from tritkd.correlations import (
     CRITICAL_VISIBILITY,
     LOCAL_REALISM_BOUND,
@@ -11,8 +12,6 @@ from tritkd.correlations import (
     correlation_q,
     correlation_q_closed,
     joint_probs,
-    joint_probs_rho,
-    thresholds,
 )
 from tritkd.quantum import ALPHA, chi_state, max_entangled_state, standard_settings
 
@@ -128,14 +127,13 @@ def test_bell_s_real_linear():
 
 
 def test_thresholds():
-    bound, value, v0 = thresholds()
+    bound, value, v0 = LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, CRITICAL_VISIBILITY
     assert abs(bound - np.sqrt(3)) < 1e-15
     assert abs(bound - 1.7320508) < 1e-7
     assert abs(value - 2 * (2 + np.sqrt(3)) / 3) < 1e-15
     assert abs(v0 - 0.6961524) < 1e-7
     assert abs(v0 * value - bound) < 1e-12
     assert abs(bound / value - v0) < 1e-12
-    assert (bound, value, v0) == (LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, CRITICAL_VISIBILITY)
 
 
 def test_joint_probs_rho_matches_pure_state_path():
