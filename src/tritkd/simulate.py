@@ -37,6 +37,10 @@ _DRAWS_PER_TRIAL = 4
 # Generator.random's u = k * 2**-53.
 _DRAW_SCALE = float(2**53)
 
+# Guide-table buckets (Chen & Asau's indexed search): bucket j holds keys k >> _GUIDE_SHIFT == j.
+_GUIDE_BITS = 12
+_GUIDE_SHIFT = 53 - _GUIDE_BITS
+
 # Trials per block, so the memory a shard uses does not grow with the run.
 # Shard threads share one process, so their block temporaries add up in its peak.
 _BLOCK_TRIALS = 1 << 16
@@ -76,8 +80,8 @@ class SimConfig:
     setting_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials < 2**63:  # the most the int64 count table holds
+            raise ValueError(f"trials must be >= 1 and below 2**63, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.setting_weights is not None:
@@ -172,6 +176,29 @@ def _thresholds(cum: np.ndarray) -> np.ndarray:
     return np.minimum(np.ceil(cum * _DRAW_SCALE), _DRAW_SCALE).astype(np.int64)
 
 
+def _guide_table(thresh: np.ndarray, n_buckets: int) -> np.ndarray:
+    """int8 entry j: searchsorted(thresh, key, side="right") shared by every key of
+    bucket j (all reach t once j >= ceil(t / width)), or -1 where a threshold that
+    is no multiple of the width splits the bucket.  Built with no bucket-sized
+    temporaries, since each shard thread's add to the process's peak memory."""
+    width = 1 << _GUIDE_SHIFT
+    reach = np.clip(-(-thresh // width), 0, n_buckets)
+    guide = np.repeat(np.arange(len(thresh) + 1, dtype=np.int8), np.diff(reach, prepend=0, append=n_buckets))
+    guide[thresh[(thresh % width != 0) & (thresh < n_buckets * width)] >> _GUIDE_SHIFT] = -1
+    return guide
+
+
+def _lookup(guide: np.ndarray, thresh: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """searchsorted(thresh, key, side="right") as int8: one gather from the guide
+    table, searching only the keys of split buckets.  Bucket numbers are below
+    9 << _GUIDE_BITS < 2**16; uint16 in place of int64 keeps the peak down."""
+    bucket = np.right_shift(key, _GUIDE_SHIFT, out=np.empty(len(key), np.uint16), casting="unsafe")
+    index = guide[bucket]
+    split = np.flatnonzero(index < 0)
+    index[split] = np.searchsorted(thresh, key[split], side="right")
+    return index
+
+
 def _simulate_shard(
     config: SimConfig,
     lo: int,
@@ -187,14 +214,17 @@ def _simulate_shard(
     Works in blocks of at most _BLOCK_TRIALS trials that never straddle a
     power of ten.  Unless sink is None, it calls sink(start, block) with each
     block's int8 columns: setting pair, a, b, eve subspace and guess (-1 where
-    absent).  An index is the number of integer thresholds its draw reaches;
-    the outcome thresholds of setting s are offset by s << 53 into one sorted
-    array, so the count is the trial's cell 9 * setting + outcome.
+    absent).  An index is the number of integer thresholds its draw reaches,
+    found with a guide table with a searchsorted fallback; the outcome
+    thresholds of setting s are offset by s << 53 into one sorted array, so the
+    count for the key (s << 53) + draw is the trial's cell 9 * setting + outcome.
     """
     set_thresh = _thresholds(cum_settings)
     out_thresh = (
         _thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]
     ).ravel()
+    set_guide = _guide_table(set_thresh, 1 << _GUIDE_BITS)
+    out_guide = _guide_table(out_thresh, 9 << _GUIDE_BITS)
     eve_thresh = None if eve_w is None else _thresholds(np.stack([eve_w, (1.0 + eve_w) / 2.0]))
     counts = np.zeros(81, dtype=np.int64)
 
@@ -207,8 +237,12 @@ def _simulate_shard(
         # the serial stream; k < 2**53 fits int64 exactly
         k = bit_gen.random_raw(_DRAWS_PER_TRIAL * n).reshape(n, _DRAWS_PER_TRIAL)
         k = np.right_shift(k, 11, out=k).view(np.int64)
-        s = np.searchsorted(set_thresh, k[:, 0], side="right")
-        cell = np.searchsorted(out_thresh, (s << 53) + k[:, 1], side="right")
+        s = _lookup(set_guide, set_thresh, k[:, 0])
+        # the outcome key, built in place so the block holds one int64 temporary
+        out_key = s.astype(np.int64)
+        out_key <<= 53
+        out_key += k[:, 1]
+        cell = _lookup(out_guide, out_thresh, out_key)
         counts += np.bincount(cell, minlength=81)
         if sink is not None:
             outcome = cell - 9 * s
@@ -224,7 +258,7 @@ def _simulate_shard(
                 block[4, key] = (_SLOT_OF_FLAT[flat] + (r >= eve_thresh[:, group]).sum(axis=0)) % 3
             sink(start, block)
         # freed before the next block is drawn, so the peak is one block's
-        del k, s, cell
+        del k, s, out_key, cell
         start = stop
     return counts
 
@@ -298,8 +332,9 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     tables = _sampling_tables(config)
     # one shard per thread: more shards than CPUs would only queue
     n_shards = min(workers, os.cpu_count() or 1, config.trials)
-    bounds = np.linspace(0, config.trials, n_shards + 1).astype(int)
-    shards = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # integer bounds: a float cut loses trials beyond 2**53
+    bounds = [config.trials * i // n_shards for i in range(n_shards + 1)]
+    shards = list(zip(bounds[:-1], bounds[1:]))
     with ThreadPoolExecutor(max_workers=n_shards) as pool:
         futures = [
             pool.submit(_simulate_shard, config, lo, hi, *tables, sink) for lo, hi in shards

@@ -85,6 +85,16 @@ def test_bad_numeric_input_is_usage_error(args, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("trials", [str(2**63), "100000000000000000000"])
+def test_trials_beyond_int64_is_usage_error(trials):
+    # the int64 count table cannot hold 2**63 trials; the run must not start
+    result = tritkd("simulate", "--trials", trials, "--seed", "0", "--honest")
+    assert result.returncode == 2
+    assert "error: trials must be >= 1 and below 2**63" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def _outside(lo, hi):
     """Floats, infinities included, below lo or above hi."""
     return st.floats(max_value=lo, exclude_max=True) | st.floats(min_value=hi, exclude_min=True)

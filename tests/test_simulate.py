@@ -20,7 +20,11 @@ from tritkd.correlations import QUANTUM_BELL_VALUE, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
     _EVE_TRIT,
+    _GUIDE_BITS,
+    _GUIDE_SHIFT,
+    _guide_table,
     _line_offset,
+    _lookup,
     _sampling_tables,
     _simulate_shard,
     _thresholds,
@@ -53,6 +57,9 @@ def _transcripts_equal(a: ProtocolTranscript, b: ProtocolTranscript) -> bool:
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(trials=0, seed=1)
+    with pytest.raises(ValueError):
+        SimConfig(trials=2**63, seed=1)
+    SimConfig(trials=2**63 - 1, seed=1)
     with pytest.raises(ValueError):
         SimConfig(trials=10, seed=-1)
     with pytest.raises(ValueError):
@@ -120,6 +127,26 @@ def test_threads_bounded_by_cpu_count(monkeypatch, tmp_path):
     assert _transcripts_equal(serial, bounded)
     assert blob == serial_bytes
     assert _transcripts_equal(serial, written)
+
+
+@pytest.mark.parametrize("trials", [3, 7, 2**53 + 1, 2**60 + 1, 2**63 - 1])
+def test_shards_cover_every_trial(trials, monkeypatch):
+    # shards recorded, not run; bounds cut in floats lose trials above 2**53
+    ranges = []
+
+    def recording_shard(config, lo, hi, *rest):
+        ranges.append((lo, hi))
+        return np.zeros(81, dtype=np.int64)
+
+    monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
+    run(SimConfig(trials=trials, seed=0), workers=3)
+    ranges.sort()
+    assert len(ranges) == 3
+    assert ranges[0][0] == 0 and ranges[-1][1] == trials
+    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(ranges, ranges[1:]))
+    sizes = [hi - lo for lo, hi in ranges]
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_honest_run_statistics():
@@ -412,6 +439,54 @@ def test_thresholds_are_exact_at_the_boundary():
         for k in (int(t) - 1, int(t)):
             if 0 <= k < 2**53:
                 assert (k * 2.0**-53 >= c) == (k >= t)
+
+
+_BUCKET = 1 << _GUIDE_SHIFT
+
+# Thresholds of one 2**53 span of draws: zero, bucket edges and their
+# neighbours below, anything up to the cap, and the cap itself.
+_SPAN_THRESHOLD = st.one_of(
+    st.just(0),
+    st.integers(1, 1 << _GUIDE_BITS).map(lambda j: j * _BUCKET),
+    st.integers(1, 1 << _GUIDE_BITS).map(lambda j: j * _BUCKET - 1),
+    st.integers(0, 2**53),
+    st.just(2**53),
+)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    # one span, as the setting thresholds, or nine offset by s << 53, as the
+    # outcome thresholds; duplicates stand for zero-probability bins
+    spans=st.lists(st.lists(_SPAN_THRESHOLD, min_size=1, max_size=8), min_size=1, max_size=1)
+    | st.lists(st.lists(_SPAN_THRESHOLD, min_size=1, max_size=8), min_size=9, max_size=9),
+    extra_keys=st.lists(st.integers(0, 9 * 2**53 - 1), max_size=20),
+)
+def test_guide_lookup_is_searchsorted(spans, extra_keys):
+    # every span ends at the cap 2**53, as _thresholds makes it
+    thresh = np.concatenate(
+        [np.array(sorted(span) + [2**53], dtype=np.int64) + (s << 53) for s, span in enumerate(spans)]
+    )
+    n_buckets = len(spans) << _GUIDE_BITS
+    guide = _guide_table(thresh, n_buckets)
+    assert guide.dtype == np.int8 and guide.shape == (n_buckets,)
+
+    # a threshold t splits its bucket exactly when keys t - 1 and t share it;
+    # any other bucket holds the count of thresholds its keys reach
+    edges = np.arange(n_buckets + 1, dtype=np.int64) * _BUCKET
+    splitting = thresh[(thresh % _BUCKET != 0) & (thresh < edges[-1])]
+    split = np.zeros(n_buckets, dtype=bool)
+    split[splitting // _BUCKET] = True
+    reached = (thresh[None, :] <= edges[:-1, None]).sum(axis=1)
+    assert np.array_equal(guide, np.where(split, -1, reached))
+
+    # keys at and next to every threshold and every bucket edge
+    key = np.concatenate([thresh, edges, np.array(extra_keys, dtype=np.int64)])
+    key = np.concatenate([key - 1, key, key + 1])
+    key = key[(key >= 0) & (key < n_buckets * _BUCKET)]
+    index = _lookup(guide, thresh, key)
+    assert index.dtype == np.int8
+    assert np.array_equal(index, np.searchsorted(thresh, key, side="right"))
 
 
 def test_sampler_exact_when_draws_hit_thresholds(monkeypatch):
