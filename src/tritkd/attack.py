@@ -184,13 +184,13 @@ class SubspaceAnalysis:
 
     p[i] is the probability the outcome pair lands in group i; lam_tilde[i]
     the common overlap of the three conditional ancilla states there; w[i]
-    the square-root-measurement success probability.  Entries for a group
-    with zero probability are None: its geometry is undefined but unsampled.
+    the square-root-measurement success probability.  Fields have shape (3,)
+    + the params' shape; lam_tilde and w are NaN where p is 0 (unsampled).
     """
 
-    p: tuple[float, float, float]
-    lam_tilde: tuple[float | None, float | None, float | None]
-    w: tuple[float | None, float | None, float | None]
+    p: np.ndarray
+    lam_tilde: np.ndarray
+    w: np.ndarray
 
 
 def _subspace_geometry(params: AttackParams) -> tuple[np.ndarray, ...]:
@@ -224,11 +224,11 @@ def _unwrap(x):
 
 
 def subspace_analysis(params: AttackParams) -> SubspaceAnalysis:
-    """Closed-form subspace probabilities, ancilla overlaps, and success rates (scalar params)."""
-    p0, p12, lt0, lt12 = (float(x) for x in _subspace_geometry(params))
-    lt = [x if p > 0.0 else None for p, x in ((p0, lt0), (p12, lt12))]
-    w = [None if x is None else float(srm_success(x)) for x in lt]
-    return SubspaceAnalysis(p=(p0, p12, p12), lam_tilde=(lt[0], lt[1], lt[1]), w=(w[0], w[1], w[1]))
+    """Closed-form subspace probabilities, ancilla overlaps, and success rates."""
+    p0, p12, lt0, lt12 = _subspace_geometry(params)
+    # w per group before stacking, as _over_groups computes it for the same params
+    w0, w12 = srm_success(lt0), srm_success(lt12)
+    return SubspaceAnalysis(*(np.stack([x, y, y]) for x, y in ((p0, p12), (lt0, lt12), (w0, w12))))
 
 
 def srm_directions(states) -> list[np.ndarray]:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .attack import F_DOMAIN, LAM_DOMAIN, AttackParams
 from .correlations import (
+    BELL_WEIGHTS,
     CRITICAL_VISIBILITY,
     LOCAL_REALISM_BOUND,
     bell_s,
@@ -67,12 +68,14 @@ def cmd_bell(args, parser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     v = args.visibility
+    if not LAM_DOMAIN[0] <= v <= LAM_DOMAIN[1]:
+        parser.error(f"--visibility must be in [-0.5, 1], the range of v = f*lam, got {v:g}")
 
     q = {
         (k, l): v * correlation_q_closed(alice[k - 1], bob[l - 1])
-        for k, l in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
+        for k, l in (*BELL_WEIGHTS, (3, 3))
     }
-    s = bell_s(q[(1, 1)], q[(1, 2)], q[(2, 1)], q[(2, 2)])
+    s = bell_s(*(q[pair] for pair in BELL_WEIGHTS))
     for (k, l), value in q.items():
         print(f"Q{k}{l} = {value.real:.6f} {value.imag:+.6f}i")
     print(f"S = {s:.6f}")

@@ -17,6 +17,9 @@ CRITICAL_VISIBILITY = (6.0 * np.sqrt(3.0) - 9.0) / 2.0
 
 _OUTCOME_PHASE = ALPHA ** np.add.outer(np.arange(3), np.arange(3))
 
+# The Bell functional S = Im(sum of weight * Q_kl), added in this order.
+BELL_WEIGHTS = {(1, 1): -ALPHA**2, (1, 2): ALPHA, (2, 1): ALPHA**2, (2, 2): -ALPHA**2}
+
 
 def _checked_table(p: np.ndarray) -> np.ndarray:
     # Clamp floating-point dust; anything more negative is a construction bug.
@@ -61,6 +64,29 @@ def correlation_q_closed(phases_a, phases_b) -> complex:
 
 
 def bell_s(q11: complex, q12: complex, q21: complex, q22: complex) -> float:
-    """Bell quantity Im(-ALPHA**2*q11 + ALPHA*q12 + ALPHA**2*q21 - ALPHA**2*q22)."""
-    a2 = ALPHA**2
-    return float((-a2 * q11 + ALPHA * q12 + a2 * q21 - a2 * q22).imag)
+    """Bell quantity Im(-ALPHA**2*q11 + ALPHA*q12 + ALPHA**2*q21 - ALPHA**2*q22) of BELL_WEIGHTS."""
+    w11, w12, w21, w22 = BELL_WEIGHTS.values()
+    return float((w11 * q11 + w12 * q12 + w21 * q21 + w22 * q22).imag)
+
+
+def bell_from_counts(counts: np.ndarray) -> tuple[float | None, float | None]:
+    """Plug-in Bell estimate from counts[3(k-1) + (l-1), a, b], with delta-method error.
+
+    Each test pair (k, l) of BELL_WEIGHTS contributes the empirical mean of
+    Im(weight * ALPHA**(a+b)); the variance of each mean is estimated from
+    the same sample and the four contributions are independent.  Every sum
+    runs over the nine outcomes in a fixed order, so the result is a function
+    of the integer counts alone.  (None, None) when a test pair has no counts.
+    """
+    s = 0.0
+    var = 0.0
+    for (k, l), weight in BELL_WEIGHTS.items():
+        c = counts[3 * (k - 1) + (l - 1)]
+        n = int(c.sum())
+        if n == 0:
+            return None, None
+        g = (weight * _OUTCOME_PHASE).imag
+        mean = (c * g).sum() / n
+        s += mean
+        var += ((c * (g * g)).sum() / n - mean * mean) / n
+    return float(s), float(np.sqrt(max(var, 0.0)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -21,12 +22,8 @@ import numpy as np
 from numpy.random import Philox
 
 from .attack import SUBSPACE_PAIRS, AttackParams, subspace_analysis, transformed_tripartite
-from .correlations import ALPHA, CRITICAL_VISIBILITY, QUANTUM_BELL_VALUE, joint_probs
+from .correlations import CRITICAL_VISIBILITY, QUANTUM_BELL_VALUE, bell_from_counts, joint_probs
 from .quantum import max_entangled_state, standard_settings
-
-# Bob announces nothing, but his outcome b means Alice's symbol BOB_KEY_REMAP[b]
-# on a strictly correlated trial: the possible pairs are (0,0), (1,2), (2,1).
-BOB_KEY_REMAP = (0, 2, 1)
 
 # Uniforms consumed per trial (settings, outcome, eve guess, spare).  Four is
 # exactly one Philox block, so trial i starts at counter offset i and shards
@@ -45,24 +42,32 @@ _GUIDE_SHIFT = 53 - _GUIDE_BITS
 # Shard threads share one process, so their block temporaries add up in its peak.
 _BLOCK_TRIALS = 1 << 16
 
+# Group and slot of each outcome 3a + b.  Eve's guess (group, slot) names Alice's
+# symbol in that pair; Bob's outcome b names _BOB_KEY_TRIT[b], hers in group 0.
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.int8)
 _SLOT_OF_FLAT = np.zeros(9, dtype=np.int8)
+_EVE_TRIT = np.zeros((3, 3), dtype=np.int8)
+_BOB_KEY_TRIT = np.zeros(3, dtype=np.int8)
 for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
     for _slot, (_a, _b) in enumerate(_pairs):
         _GROUP_OF_FLAT[3 * _a + _b] = _grp
         _SLOT_OF_FLAT[3 * _a + _b] = _slot
-
-# Eve's key-symbol guess implied by (group, slot): Alice's member of the pair.
-_EVE_TRIT = np.array(
-    [[pair[0] for pair in pairs] for pairs in SUBSPACE_PAIRS], dtype=np.int8
-)
-_BOB_KEY_TRIT = np.asarray(BOB_KEY_REMAP, dtype=np.int8)
+        _EVE_TRIT[_grp, _slot] = _a
+        if _grp == 0:
+            _BOB_KEY_TRIT[_b] = _a
 
 # The abort rule holds the Bell estimate's lower confidence bound, S minus
 # _ABORT_SIGMAS standard errors, against the local-realism line V0 * (quantum
 # Bell value).
 _ABORT_BOUND = CRITICAL_VISIBILITY * QUANTUM_BELL_VALUE
 _ABORT_SIGMAS = 3.0
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,8 @@ class SimConfig:
     setting_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("trials", "seed"):  # Philox truncates a float seed, overflows on numpy ints
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.trials < 2**63:  # the most the int64 count table holds
             raise ValueError(f"trials must be >= 1 and below 2**63, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -145,24 +152,14 @@ def _outcome_tables(config: SimConfig) -> np.ndarray:
     """Exact p(a, b) for each of the nine setting pairs, flattened to (9, 9)."""
     alice, bob = standard_settings()
     tables = np.empty((9, 9))
-    if config.attack is None:
-        psi = max_entangled_state()
-        for m in range(3):
-            for n in range(3):
-                tables[3 * m + n] = joint_probs(psi, alice[m], bob[n]).reshape(9)
-    else:
-        for m in range(3):
-            for n in range(3):
+    for m in range(3):
+        for n in range(3):
+            if config.attack is None:
+                tables[3 * m + n] = joint_probs(max_entangled_state(), alice[m], bob[n]).reshape(9)
+            else:
                 psi = transformed_tripartite(config.attack, alice[m], bob[n])
                 tables[3 * m + n] = (np.abs(psi.reshape(9, 9)) ** 2).sum(axis=1)
     return tables
-
-
-def _eve_success_probs(params: AttackParams) -> np.ndarray:
-    sub = subspace_analysis(params)
-    # A group with w=None has probability zero and is never sampled; the
-    # placeholder keeps the array dense.
-    return np.array([w if w is not None else 1.0 / 3.0 for w in sub.w])
 
 
 def _thresholds(cum: np.ndarray) -> np.ndarray:
@@ -263,31 +260,6 @@ def _simulate_shard(
     return counts
 
 
-def _bell_from_counts(counts: np.ndarray) -> tuple[float | None, float | None]:
-    """Plug-in Bell estimate from the Bell-test counts, with delta-method error.
-
-    Each of the four test setting pairs contributes the empirical mean of
-    Im(weight * ALPHA**(a+b)); the variance of each mean is estimated from
-    the same sample and the four contributions are independent.  Every sum
-    runs over the nine outcomes in a fixed order, so the result is a function
-    of the integer counts alone.
-    """
-    weights = {0: -ALPHA**2, 1: ALPHA, 3: ALPHA**2, 4: -ALPHA**2}
-    phase = ALPHA ** np.add.outer(np.arange(3), np.arange(3))
-    s = 0.0
-    var = 0.0
-    for idx, wgt in weights.items():
-        c = counts[idx]
-        n = int(c.sum())
-        if n == 0:
-            return None, None
-        g = (wgt * phase).imag
-        mean = (c * g).sum() / n
-        s += mean
-        var += ((c * (g * g)).sum() / n - mean * mean) / n
-    return float(s), float(np.sqrt(max(var, 0.0)))
-
-
 def _trits_to_str(trits: np.ndarray) -> str:
     return (trits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
@@ -320,13 +292,14 @@ def _sampling_tables(config: SimConfig):
     cum_settings[-1] = 1.0  # guard the top bin against cumsum rounding
     cum_tables = np.cumsum(_outcome_tables(config), axis=1)
     cum_tables[:, -1] = 1.0
-    eve_w = None if config.attack is None else _eve_success_probs(config.attack)
+    # w is NaN only for a group of probability 0, never sampled; 1/3 keeps it finite
+    eve_w = None if config.attack is None else np.nan_to_num(subspace_analysis(config.attack).w, nan=1.0 / 3.0)
     return cum_settings, cum_tables, eve_w
 
 
 def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     """Sample every trial once, on shard threads; see run and write_transcript."""
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
 
     tables = _sampling_tables(config)
@@ -341,10 +314,9 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
         ]
         counts = sum(future.result() for future in futures).reshape(9, 3, 3)
 
-    s_estimate, s_std_error = _bell_from_counts(counts)
-    key = counts[8]
-    n_key = int(key.sum())
-    errors = int(key[np.arange(3)[:, None] != _BOB_KEY_TRIT].sum())
+    s_estimate, s_std_error = bell_from_counts(counts)
+    n_key = int(counts[8].sum())
+    errors = int(counts[8].ravel()[_GROUP_OF_FLAT != 0].sum())
     qber = errors / n_key if n_key else None
     if s_estimate is None:
         # no Bell evidence, no key

@@ -203,10 +203,25 @@ def test_transformed_ancillas_symmetric_within_subspace():
 
 def test_subspace_analysis_endpoint():
     sub = subspace_analysis(AttackParams(f=1.0, lam=1.0))
-    assert sub.p == (1.0, 0.0, 0.0)
+    assert tuple(sub.p) == (1.0, 0.0, 0.0)
     assert abs(sub.lam_tilde[0] - 1.0) < 1e-15
     assert abs(sub.w[0] - 1 / 3) < 1e-15
-    assert sub.lam_tilde[1] is None and sub.w[2] is None
+    assert np.isnan(sub.lam_tilde[1]) and np.isnan(sub.w[2])
+
+
+def test_subspace_analysis_is_array_first():
+    # (1, -1/2) empties group 0 and (1, 1) empties groups 1 and 2
+    f, lam = np.meshgrid([0.0, 0.3, 1.0], [-0.5, -0.1, 0.4, 1.0], indexing="ij")
+    sub = subspace_analysis(AttackParams(f=f, lam=lam))
+    for field in ("p", "lam_tilde", "w"):
+        grid = getattr(sub, field)
+        assert grid.shape == (3, 3, 4)
+        for idx in np.ndindex(f.shape):
+            point = getattr(subspace_analysis(AttackParams(f=float(f[idx]), lam=float(lam[idx]))), field)
+            np.testing.assert_allclose(grid[(slice(None), *idx)], point, rtol=1e-15, atol=0.0)
+    assert np.array_equal(np.isnan(sub.lam_tilde), sub.p == 0.0)
+    assert np.array_equal(np.isnan(sub.w), sub.p == 0.0)
+    assert np.isnan(sub.w).sum() == 3
 
 
 def test_subspace_analysis_example_point():

@@ -85,6 +85,17 @@ def test_bad_numeric_input_is_usage_error(args, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("v, code", [("1.5", 2), ("-5", 2), ("1e308", 2), ("-0.5", 0), ("0", 0), ("1", 0)])
+def test_bell_visibility_domain(v, code):
+    # v = f*lam lies in [-1/2, 1]; 1.5 printed S = 3.732051 and 1e308 S = inf
+    result = tritkd("bell", f"--visibility={v}")
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    if code == 2:
+        assert "error: --visibility must be in [-0.5, 1]" in result.stderr
+        assert result.stdout == ""
+
+
 @pytest.mark.parametrize("trials", [str(2**63), "100000000000000000000"])
 def test_trials_beyond_int64_is_usage_error(trials):
     # the int64 count table cannot hold 2**63 trials; the run must not start
@@ -124,7 +135,7 @@ _SIMULATE = ["simulate", "--trials=10", "--seed=1"]
 _INVALID_ARGV = st.one_of(
     _bad(_outside(0.0, 1.0)).map(lambda v: [*_SIMULATE, f"--f={v}", "--lam=0.5"]),
     _bad(_outside(-0.5, 1.0)).map(lambda v: [*_SIMULATE, "--f=0.5", f"--lam={v}"]),
-    _bad().map(lambda v: ["bell", f"--visibility={v}"]),
+    _bad(_outside(-0.5, 1.0)).map(lambda v: ["bell", f"--visibility={v}"]),
     _bad(st.floats(max_value=0.0)).map(lambda v: ["crossover", f"--tolerance={v}"]),
     st.tuples(
         st.sampled_from([["crossover"], ["sweep", "--steps=2"]]),

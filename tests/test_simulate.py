@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo protocol engine."""
 
+import json
 import os
 import sys
 import tempfile
@@ -16,19 +17,20 @@ from numpy.random import Generator, Philox
 import tritkd.simulate
 from oracles import reference_bell, reference_shard, sifted_keys
 from tritkd.attack import SUBSPACE_PAIRS, AttackParams, ab_error, eve_error, subspace_analysis
-from tritkd.correlations import QUANTUM_BELL_VALUE, joint_probs
+from tritkd.correlations import QUANTUM_BELL_VALUE, bell_from_counts, bell_s, correlation_q, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
+    _BOB_KEY_TRIT,
     _EVE_TRIT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
     _guide_table,
     _line_offset,
     _lookup,
+    _outcome_tables,
     _sampling_tables,
     _simulate_shard,
     _thresholds,
-    BOB_KEY_REMAP,
     TRANSCRIPT_HEADER,
     ProtocolTranscript,
     SimConfig,
@@ -64,6 +66,16 @@ def test_config_validation():
         SimConfig(trials=10, seed=-1)
     with pytest.raises(ValueError):
         SimConfig(trials=10, seed=2**64)
+    # Philox would truncate the seed, and a float trial count breaks the shard cut
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SimConfig(trials=1000, seed=0.5)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        SimConfig(trials=10.5, seed=0)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run(SimConfig(trials=10, seed=0), workers=1.5)
+    # numpy integers are accepted as plain ints, which Philox.advance and json take
+    config = SimConfig(trials=np.int64(10), seed=np.uint64(2**64 - 1))
+    assert json.loads(json.dumps(summary_dict(config, run(config))))["seed"] == 2**64 - 1
     with pytest.raises(ValueError):
         SimConfig(trials=10, seed=1, setting_weights=(1.0,) * 9)
     with pytest.raises(ValueError):
@@ -260,9 +272,21 @@ def test_missing_groups_are_unavailable_not_errors():
 def test_extract_key_remaps():
     # on a strictly correlated round Bob's outcome b names Alice's symbol
     for a, b in SUBSPACE_PAIRS[0]:
-        assert BOB_KEY_REMAP[b] == a
+        assert _BOB_KEY_TRIT[b] == a
     # guesses name pairs (1,2), (1,1), (0,1): alice symbols 1, 1, 0
     assert (_EVE_TRIT[0, 1], _EVE_TRIT[1, 0], _EVE_TRIT[2, 2]) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("attack", [None, AttackParams(f=0.9, lam=0.8)])
+def test_bell_routes_agree(attack):
+    # the count-table estimate and bell_s of the exact correlations, on counts
+    # that hold each outcome table to 1e-12
+    tables = _outcome_tables(SimConfig(trials=1, seed=0, attack=attack))
+    s_counts, _ = bell_from_counts(np.rint(1e12 * tables).astype(np.int64).reshape(9, 3, 3))
+    s_exact = bell_s(*(correlation_q(tables[i].reshape(3, 3)) for i in (0, 1, 3, 4)))
+    v = 1.0 if attack is None else attack.visibility
+    assert abs(s_counts - s_exact) < 1e-9
+    assert abs(s_counts - QUANTUM_BELL_VALUE * v) < 1e-9
 
 
 def test_abort_decision_rule():

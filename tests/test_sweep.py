@@ -48,7 +48,7 @@ def test_sweep_rows_match_scalar_closed_forms():
         params = AttackParams(f=f, lam=lam)
         sub = subspace_analysis(params)
         scalars = (
-            params.visibility, sub.p[0], sub.p[1], ab_error(params), eve_error(params),
+            params.visibility, float(sub.p[0]), float(sub.p[1]), ab_error(params), eve_error(params),
             mutual_info_ab(params, 2.0), mutual_info_ae(params, 2.0),
         )
         assert all(type(x) is float for x in scalars)
