@@ -175,7 +175,10 @@ def srm_success(overlap: float):
     (sqrt(1 + 2*overlap) + 2*sqrt(1 - overlap))**2 / 9.  Accepts arrays.
     """
     x = np.clip(overlap, -0.5, 1.0)  # clamp floating dust at the endpoints
-    return (np.sqrt(1.0 + 2.0 * x) + 2.0 * np.sqrt(1.0 - x)) ** 2 / 9.0
+    root = np.sqrt(1.0 + 2.0 * x) + 2.0 * np.sqrt(1.0 - x)
+    root *= root  # not ** 2, which is C pow on a numpy scalar; in place, as ** 2 was on arrays
+    root /= 9.0
+    return root
 
 
 @dataclass(frozen=True)

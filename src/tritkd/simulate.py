@@ -124,9 +124,9 @@ class ProtocolTranscript:
         return int(self.counts[8].sum())
 
     def _replay(self, select) -> np.ndarray:
-        """select(block) of each block of the run, concatenated."""
+        """select(_columns(cell, eve)) of each block of the run, concatenated."""
         parts = []
-        _run(self.config, 1, lambda start, block: parts.append(select(block)))
+        _run(self.config, 1, lambda start, cell, eve: parts.append(select(_columns(cell, eve))))
         return np.concatenate(parts, axis=1)
 
     @property
@@ -146,6 +146,12 @@ class ProtocolTranscript:
     sifted_key_alice = property(lambda self: self._sifted_keys[0])
     sifted_key_bob = property(lambda self: self._sifted_keys[1])
     sifted_key_eve = property(lambda self: self._sifted_keys[2])
+
+
+def _columns(cell: np.ndarray, eve: np.ndarray) -> np.ndarray:
+    """(5, n) setting pair, a, b, Eve's subspace and guess (-1 where eve is 0) of cells and Eve codes."""
+    sub, guess = np.divmod(eve - 1, 3)
+    return np.stack([cell // 9, cell // 3 % 3, cell % 3, sub, np.where(eve > 0, guess, -1)])
 
 
 def _outcome_tables(config: SimConfig) -> np.ndarray:
@@ -203,18 +209,18 @@ def _simulate_shard(
     cum_settings: np.ndarray,
     cum_tables: np.ndarray,
     eve_w: np.ndarray | None,
-    sink: Callable[[int, np.ndarray], None] | None,
+    sink: Callable[[int, np.ndarray, np.ndarray], None] | None,
 ) -> np.ndarray:
-    """Sample trials [lo, hi) as a full run does; return their 81 counts of
-    9 * setting pair + 3 * a + b.
+    """Sample trials [lo, hi) as a full run does; return their 81 cell counts.
 
     Works in blocks of at most _BLOCK_TRIALS trials that never straddle a
-    power of ten.  Unless sink is None, it calls sink(start, block) with each
-    block's int8 columns: setting pair, a, b, eve subspace and guess (-1 where
-    absent).  An index is the number of integer thresholds its draw reaches,
-    found with a guide table with a searchsorted fallback; the outcome
-    thresholds of setting s are offset by s << 53 into one sorted array, so the
-    count for the key (s << 53) + draw is the trial's cell 9 * setting + outcome.
+    power of ten.  Unless sink is None, it calls sink(start, cell, eve) with
+    each block's int8 cells and Eve codes (1 + 3 * subspace + guess on key
+    rounds under attack, else 0), from which write_transcript looks each
+    line up in tables.  An index counts the integer thresholds its draw
+    reaches, found with a guide table with a searchsorted fallback; setting
+    s offsets its outcome thresholds by s << 53 in one sorted array, so the
+    key (s << 53) + draw gives the trial's cell 9 * setting + 3 * a + b.
     """
     set_thresh = _thresholds(cum_settings)
     out_thresh = (
@@ -242,18 +248,14 @@ def _simulate_shard(
         cell = _lookup(out_guide, out_thresh, out_key)
         counts += np.bincount(cell, minlength=81)
         if sink is not None:
-            outcome = cell - 9 * s
-            block = np.full((5, n), -1, dtype=np.int8)
-            block[:3] = s, outcome // 3, outcome % 3
+            eve = np.zeros(n, dtype=np.int8)
             if eve_w is not None:
                 key = np.flatnonzero(s == 8)
-                flat = outcome[key]
+                flat = cell[key] % 9
                 group = _GROUP_OF_FLAT[flat]
-                r = k[key, 2]
                 # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
-                block[3, key] = group
-                block[4, key] = (_SLOT_OF_FLAT[flat] + (r >= eve_thresh[:, group]).sum(axis=0)) % 3
-            sink(start, block)
+                eve[key] = 1 + 3 * group + (_SLOT_OF_FLAT[flat] + (k[key, 2] >= eve_thresh[:, group]).sum(0)) % 3
+            sink(start, cell, eve)
         # freed before the next block is drawn, so the peak is one block's
         del k, s, out_key, cell
         start = stop
@@ -283,12 +285,8 @@ def abort_decision(s_estimate: float, s_std_error: float) -> tuple[bool, str]:
 
 def _sampling_tables(config: SimConfig):
     """(cumulative setting weights, cumulative outcome tables, eve success probs)."""
-    weights = (
-        np.full(9, 1.0 / 9.0)
-        if config.setting_weights is None
-        else np.asarray(config.setting_weights, dtype=float)
-    )
-    cum_settings = np.cumsum(weights)
+    weights = (1.0 / 9.0,) * 9 if config.setting_weights is None else config.setting_weights
+    cum_settings = np.cumsum(weights, dtype=float)
     cum_settings[-1] = 1.0  # guard the top bin against cumsum rounding
     cum_tables = np.cumsum(_outcome_tables(config), axis=1)
     cum_tables[:, -1] = 1.0
@@ -346,21 +344,35 @@ def _line_offset(i: int) -> int:
     return len(TRANSCRIPT_HEADER) + 14 * i + sum(i - 10**p for p in range(1, len(str(i))))
 
 
-def _write_lines(fd: int, start: int, block: np.ndarray) -> None:
-    """Write a block's transcript lines, one width and so one uint8 table, at their
-    offset; eve fields are '-' where absent."""
-    pair, *rest = block
-    digits = len(str(start))
-    fields = (pair // 3 + 1, pair % 3 + 1, *rest)
-    table = np.empty((len(pair), digits + 2 * len(fields) + 1), dtype=np.uint8)
-    index = np.arange(start, start + len(pair))
-    for k in range(digits):
-        table[:, digits - 1 - k] = index // 10**k % 10 + ord("0")
-    table[:, digits:-1:2] = ord("\t")
-    for j, field in enumerate(fields):
-        table[:, digits + 1 + 2 * j] = np.where(field < 0, ord("-"), field + ord("0"))
-    table[:, -1] = ord("\n")
-    data, offset = table.tobytes(), _line_offset(start)
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(810,) V13 line tails "\\tA\\tB\\ta\\tb\\te\\tg\\n" by the code 10 * cell + eve, and
+    (10**4, 4) uint8 ASCII digits of 0 to 9999; built on first use, not on import."""
+    pair, a, b, sub, guess = _columns(*np.divmod(np.arange(810), 10))
+    fields = np.stack([pair // 3 + 1, pair % 3 + 1, a, b, sub, guess], axis=1)
+    tails = np.full((810, 13), ord("\t"), dtype=np.uint8)
+    tails[:, 1::2] = np.where(fields < 0, ord("-"), fields + ord("0"))
+    tails[:, -1] = ord("\n")
+    digits = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + ord("0")
+    return tails.view("V13")[:, 0], digits
+
+
+def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray) -> None:
+    """Write a block's lines at their offset: records of high index digits, low ones and a tail."""
+    width = len(str(start))
+    low = min(width, 4)
+    tails, digits = _text_tables()
+    buf = np.empty(len(cell) * (width + 13), dtype=np.uint8)
+    lines = buf.view([("high", f"V{width - low}"), ("low", f"V{low}"), ("tail", "V13")])
+    # the code 10 * cell + eve in int16, not intp: no 8-byte temporary per trial
+    lines["tail"] = tails[np.multiply(cell, 10, dtype=np.int16) + eve]
+    low_digits = np.ascontiguousarray(digits[: 10**low, 4 - low :]).view(f"V{low}")[:, 0]
+    # the indices of i .. i + 10**4 - 1 share their high digits and cycle the low ones
+    for i in range(start - start % 10**4, start + len(cell), 10**4):
+        chunk = lines[max(i, start) - start : i + 10**4 - start]
+        chunk["high"] = str(i)[:-4].encode()
+        chunk["low"] = low_digits[max(start - i, 0) :][: len(chunk)]
+    data, offset = memoryview(buf), _line_offset(start)
     while data:  # pwrite may write fewer bytes than asked
         written = os.pwrite(fd, data, offset)
         data, offset = data[written:], offset + written

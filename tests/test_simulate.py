@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo protocol engine."""
 
+import itertools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from tritkd.simulate import (
     _EVE_TRIT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
+    _columns,
     _guide_table,
     _line_offset,
     _lookup,
@@ -31,6 +33,7 @@ from tritkd.simulate import (
     _sampling_tables,
     _simulate_shard,
     _thresholds,
+    _write_lines,
     TRANSCRIPT_HEADER,
     ProtocolTranscript,
     SimConfig,
@@ -373,18 +376,92 @@ def test_line_offset_closed_form():
     assert _line_offset(i) == expected
 
 
+def _reference_lines(start, cell, eve) -> bytes:
+    """Lines start, start + 1, ... of (cell, eve), one f-string per trial."""
+    lines = []
+    for i, (c, e) in enumerate(zip(cell.tolist(), eve.tolist()), start):
+        pair, outcome = divmod(c, 9)
+        eve_fields = "\t".join(map(str, divmod(e - 1, 3))) if e else "-\t-"
+        lines.append(f"{i}\t{pair // 3 + 1}\t{pair % 3 + 1}\t{outcome // 3}\t{outcome % 3}\t{eve_fields}\n")
+    return "".join(lines).encode("ascii")
+
+
+def _written_lines(start, cell, eve, monkeypatch) -> bytes:
+    """_write_lines's bytes for a block, taken from os.pwrite calls that write at
+    most 4099 bytes each, after checking they continue each other from the
+    block's line offset (far beyond any file size for the largest indices)."""
+    writes = []
+
+    def short_pwrite(fd, data, offset):
+        writes.append((offset, bytes(data[:4099])))
+        return len(writes[-1][1])
+
+    monkeypatch.setattr(tritkd.simulate.os, "pwrite", short_pwrite)
+    _write_lines(-1, start, cell, eve)
+    offsets = itertools.accumulate((len(data) for _, data in writes[:-1]), initial=_line_offset(start))
+    assert [offset for offset, _ in writes] == list(offsets)
+    return b"".join(data for _, data in writes)
+
+
+def _block_codes(rng, n, attack):
+    """Random int8 cells, and Eve codes 1 + 3 * subspace + guess on key rounds
+    (cells 72 to 80) when attacked, 0 elsewhere."""
+    cell = rng.integers(0, 81, n).astype(np.int8)
+    eve = np.where(attack & (cell >= 72), rng.integers(1, 10, n), 0).astype(np.int8)
+    return cell, eve
+
+
+@pytest.mark.parametrize(
+    "start, n",
+    # one and more digits, ends at a power of ten, and blocks that cross
+    # multiples of 10**4 with 9, 18 and 19 digits
+    [(0, 10), (9, 1), (9995, 5), (99_990, 10), (10**6 - 3, 3), (123_456_789, 25_000),
+     (10**18 - 2, 2), (2**63 - 70_000, 65_536)],
+)
+@pytest.mark.parametrize("attack", [False, True], ids=["honest", "attack"])
+def test_write_lines_match_line_reference(start, n, attack, monkeypatch):
+    assert n <= 10 ** len(str(start)) - start
+    cell, eve = _block_codes(np.random.default_rng(start % 2**32), n, attack)
+    assert _written_lines(start, cell, eve, monkeypatch) == _reference_lines(start, cell, eve)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    start=st.integers(0, 2**63 - 2) | st.integers(0, 10**6),
+    n=st.integers(1, 25_000),
+    attack=st.booleans(),
+)
+def test_write_lines_any_block(start, n, attack):
+    # the block is cut where a run's blocks end: at a power of ten or at 2**63 - 1
+    n = min(n, 10 ** len(str(start)) - start, 2**63 - 1 - start)
+    cell, eve = _block_codes(np.random.default_rng(n), n, attack)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert _written_lines(start, cell, eve, monkeypatch) == _reference_lines(start, cell, eve)
+
+
+def _traced_peak(call, trials):
+    """tracemalloc's peak over call(config) at the given trial count."""
+    tracemalloc.start()
+    try:
+        call(SimConfig(trials=trials, seed=3, attack=AttackParams(f=0.95, lam=0.9)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_memory_does_not_grow_with_trials():
     # no per-trial array: the traced peak is the same at 2**17 and 2**21 trials
-    def traced_peak(trials):
-        tracemalloc.start()
-        try:
-            run(SimConfig(trials=trials, seed=3, attack=AttackParams(f=0.95, lam=0.9)))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    _traced_peak(run, 1 << 10)  # one-time set-up outside the comparison
+    assert abs(_traced_peak(run, 1 << 21) - _traced_peak(run, 1 << 17)) <= 1 << 20
 
-    traced_peak(1 << 10)  # one-time set-up outside the comparison
-    assert abs(traced_peak(1 << 21) - traced_peak(1 << 17)) <= 1 << 20
+
+def test_write_transcript_memory_does_not_grow_with_trials(tmp_path):
+    # the writer formats and writes block by block: the same bound as run's
+    def write(config):
+        write_transcript(config, tmp_path / "transcript.tsv")
+
+    _traced_peak(write, 1 << 10)
+    assert abs(_traced_peak(write, 1 << 21) - _traced_peak(write, 1 << 17)) <= 1 << 20
 
 
 ONLY_TEST = (0.25, 0.25, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
@@ -401,19 +478,19 @@ def _bincount(columns):
 
 
 def _shard_columns(config, lo, hi, tables):
-    """Run one shard, recording its blocks into sentinel-filled columns; return
-    its slice of them."""
+    """Run one shard, recording its blocks' cells and Eve codes, decoded, into
+    sentinel-filled columns; return its slice of them."""
     columns = np.full((5, config.trials), SENTINEL, dtype=np.int8)
     ends = [lo]
 
-    def record(start, block):
-        assert block.dtype == np.int8 and block.shape[0] == 5
-        stop = start + block.shape[1]
+    def record(start, cell, eve):
+        assert cell.dtype == eve.dtype == np.int8 and cell.ndim == 1 and eve.shape == cell.shape
+        stop = start + len(cell)
         # blocks are consecutive, at most _BLOCK_TRIALS long, and never
         # straddle a power of ten
         assert start == ends[-1] and start < stop <= hi
         assert stop - start <= tritkd.simulate._BLOCK_TRIALS and stop <= 10 ** len(str(start))
-        columns[:, start:stop] = block
+        columns[:, start:stop] = _columns(cell, eve)
         ends.append(stop)
 
     counts = _simulate_shard(config, lo, hi, *tables, record)

@@ -37,8 +37,9 @@ def test_sweep_row_order_is_f_outer():
 
 
 def test_sweep_rows_match_scalar_closed_forms():
-    # (1, -1/2) empties group 0 and (1, 1) empties groups 1 and 2
-    f_values, lam_values = [0.0, 0.3, 1.0], [-0.5, -0.1, 0.4, 1.0]
+    # (1, -1/2) empties group 0 and (1, 1) empties groups 1 and 2; at
+    # (0.8875, 0.2375) a squared scalar rounded apart from the array route
+    f_values, lam_values = [0.0, 0.3, 0.8875, 1.0], [-0.5, -0.1, 0.2375, 0.4, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = sweep_rows(f_values, lam_values, log_base=2.0)
