@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,29 +33,47 @@ CSV_COLUMNS = (
 )
 
 
-# Contour maximisation: grid points per zoom, zooms after the first scan
-# (each narrows the f bracket by (_GRID - 1)/2), and the bisection budget.
+# Contour maximisation: a first scan of _GRID points in f guards against a second
+# maximum; each zoom rescans the best point's two cells at _ZOOM_GRID points,
+# dividing the spacing by (_ZOOM_GRID - 1)/2, until it is below _F_SPACING.  The
+# best point then misses the peak by at most 1/2 |g''| (spacing/2)^2: with
+# |d2 gap/df2| ~ 21 on the crossover contour, ~7e-17 nats at the final spacing
+# of 5e-9, below the rounding of the gap.  The search's step budget follows.
 _GRID = 201
-_ZOOMS = 6
-_BISECTIONS = 200
+_ZOOM_GRID = 21
+_F_SPACING = 1e-8
+_ZOOMS = math.ceil(math.log(1.0 / (_GRID - 1) / _F_SPACING, (_ZOOM_GRID - 1) / 2))
+_STEPS = 200
+_MIDPOINT_EVERY = 4  # so the bracket at least halves every few steps
 
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Largest visibility at which the eavesdropper matches the parties' information."""
+    """Largest visibility at which the eavesdropper matches the parties' information, and how
+    the search ended: steps after the coarse scan, final bracket width, gap at v_max."""
 
     v_max: float
     argmax_f: float
     argmax_lam: float
     tolerance: float
+    iterations: int
+    bracket: float
+    gap_residual: float
+
+
+def _check_log_base(log_base: float) -> None:
+    # below 1 every information is negative and I_AB > I_AE would flip
+    if not (np.isfinite(log_base) and log_base > 1.0):
+        raise ValueError(f"log_base must be finite and greater than 1, got {log_base!r}")
 
 
 def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
     """Evaluate every (f, lam) pair, f outermost, both axes in given order.
 
-    One record per grid point, with the fields named by CSV_COLUMNS;
-    bell_violated and secure are booleans, the rest floats.
+    One record per grid point, with the fields named by CSV_COLUMNS; bell_violated and secure
+    are booleans, the rest floats.  A log_base that is not finite and > 1 raises ValueError.
     """
+    _check_log_base(log_base)
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
     params = AttackParams(f=f.ravel(), lam=lam.ravel())
     v = params.visibility
@@ -82,58 +101,63 @@ def format_csv(rows, comments=()) -> str:
 def _best_gap(v) -> tuple[np.ndarray, np.ndarray]:
     """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, vectorised over v.
 
-    A grid in f is zoomed onto the neighbours of its best point; each zoom
-    narrows the bracket by a factor (_GRID - 1)/2.
+    A grid in f is zoomed onto the neighbours of its best point, first at _GRID points, then
+    _ZOOMS times at _ZOOM_GRID.  I_AB depends on v alone: it is evaluated once, outside.
     """
     v = np.asarray(v, dtype=float)
+    i_ab = mutual_info_ab(AttackParams(f=1.0, lam=v), np.e)
     lo = np.maximum(v, 1e-9)  # lam = v/f must stay <= 1
     hi = np.ones_like(lo)
-    for _ in range(_ZOOMS + 1):
-        f = np.linspace(lo, hi, _GRID, axis=-1)
-        params = AttackParams(f=f, lam=v[..., None] / f)
-        gap = mutual_info_ae(params, np.e) - mutual_info_ab(params, np.e)
-        i = np.argmax(gap, axis=-1)[..., None]
+    for n in (_GRID,) + (_ZOOM_GRID,) * _ZOOMS:
+        f = np.linspace(lo, hi, n, axis=-1)
+        i_ae = mutual_info_ae(AttackParams(f=f, lam=v[..., None] / f), np.e)
+        i = np.argmax(i_ae, axis=-1)[..., None]
         lo = np.take_along_axis(f, np.maximum(i - 1, 0), axis=-1)[..., 0]
-        hi = np.take_along_axis(f, np.minimum(i + 1, _GRID - 1), axis=-1)[..., 0]
-    return np.take_along_axis(gap, i, axis=-1)[..., 0], np.take_along_axis(f, i, axis=-1)[..., 0]
+        hi = np.take_along_axis(f, np.minimum(i + 1, n - 1), axis=-1)[..., 0]
+    return np.take_along_axis(i_ae, i, axis=-1)[..., 0] - i_ab, np.take_along_axis(f, i, axis=-1)[..., 0]
 
 
 def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverResult:
     """Largest visibility v = f*lam at which I_AE can still reach I_AB.
 
-    Coarse scan over v locates the last sign change of the contour-maximized
-    information gap; bisection refines it until the bracket is narrower than
-    tolerance and the gap at the result is within tolerance (measured in the
-    given log base; the location itself is base-independent).  Raises
-    ValueError for a tolerance that is not finite and positive or that the
-    bisection cannot reach.
+    A coarse scan over v brackets the last sign change of the contour-maximized
+    information gap.  Illinois false position, with a midpoint where the secant
+    point leaves the bracket and on every _MIDPOINT_EVERY-th step, keeps
+    gap(lo) >= 0 > gap(hi) until the bracket is narrower than tolerance and the
+    gap at the result is within tolerance (in the given log base; the location
+    is base-independent).  Raises ValueError for a tolerance that is not finite
+    and positive or that the search cannot reach, or a log_base not finite and > 1.
     """
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
-    scale = 1.0 / np.log(log_base)
+    _check_log_base(log_base)
+    scale = 1.0 / math.log(log_base)
 
     vs = np.linspace(0.01, 0.999, 199)
     gaps = _best_gap(vs)[0]
     crossings = np.nonzero((gaps[:-1] >= 0.0) & (gaps[1:] < 0.0))[0]
     if crossings.size == 0:
         raise RuntimeError("no sign change of the information gap found")
-    lo, hi = float(vs[crossings[-1]]), float(vs[crossings[-1] + 1])
+    k = crossings[-1]
+    lo, hi, g_lo, g_hi = float(vs[k]), float(vs[k + 1]), float(gaps[k]), float(gaps[k + 1])
 
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
+    kept = 0  # +1 if the last step kept hi, -1 if it kept lo
+    for step in range(1, _STEPS + 1):
+        mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if step % _MIDPOINT_EVERY == 0 or not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
         gap, f_star = (float(x) for x in _best_gap(mid))
+        # Illinois: an end kept twice running has its gap halved
+        if gap >= 0.0:
+            g_hi *= 0.5 if kept > 0 else 1.0
+            lo, g_lo, kept = mid, gap, 1
+        else:
+            g_lo *= 0.5 if kept < 0 else 1.0
+            hi, g_hi, kept = mid, gap, -1
         if hi - lo < tolerance and abs(gap) * scale <= tolerance:
             break
-        if gap >= 0.0:
-            lo = mid
-        else:
-            hi = mid
     else:
-        raise ValueError(f"tolerance {tolerance!r} not reached in {_BISECTIONS} bisection steps")
+        raise ValueError(f"tolerance {tolerance!r} not reached in {_STEPS} false-position steps")
 
-    return CrossoverResult(
-        v_max=mid,
-        argmax_f=f_star,
-        argmax_lam=mid / f_star,
-        tolerance=tolerance,
-    )
+    return CrossoverResult(v_max=mid, argmax_f=f_star, argmax_lam=mid / f_star, tolerance=tolerance,
+                           iterations=step, bracket=hi - lo, gap_residual=gap * scale)

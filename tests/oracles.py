@@ -7,8 +7,14 @@ SUBSPACE_PAIRS, never from the closed-form expressions or the vectorised
 tables under test.  The array kernels are references the simulation is held
 against: reference_shard, the plain comparison-sum sampler behind the blocked
 searchsorted sampler, and reference_bell, the trial-ordered Bell estimate
-behind the count-table one.
+behind the count-table one.  Two references hold the crossover search:
+reference_best_gap, a deep zoom along each contour behind the shallow one,
+and decimal_max_gap, the closed forms written out again in 40-digit decimal
+arithmetic and maximised by golden section.
 """
+
+import decimal
+from decimal import Decimal
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -16,7 +22,10 @@ from numpy.random import Generator, Philox
 from tritkd.attack import (
     _UNMATCHED,
     SUBSPACE_PAIRS,
+    AttackParams,
     build_ancilla_states,
+    mutual_info_ab,
+    mutual_info_ae,
     srm_directions,
     transformed_tripartite,
 )
@@ -214,3 +223,73 @@ def reference_bell(setting_idx, a, b):
         s += mean
         var += (np.mean(g * g) - mean * mean) / n
     return float(s), float(np.sqrt(max(var, 0.0)))
+
+
+def reference_best_gap(v, grid=201, zooms=6):
+    """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, vectorised over v.
+
+    A grid of 201 points in f, zoomed six times onto the neighbours of its
+    best point, each zoom narrowing the bracket 100-fold to a final spacing
+    of at most 5e-15; both informations are evaluated at every grid point.
+    """
+    v = np.asarray(v, dtype=float)
+    lo = np.maximum(v, 1e-9)
+    hi = np.ones_like(lo)
+    for _ in range(zooms + 1):
+        f = np.linspace(lo, hi, grid, axis=-1)
+        params = AttackParams(f=f, lam=v[..., None] / f)
+        gap = mutual_info_ae(params, np.e) - mutual_info_ab(params, np.e)
+        i = np.argmax(gap, axis=-1)[..., None]
+        lo = np.take_along_axis(f, np.maximum(i - 1, 0), axis=-1)[..., 0]
+        hi = np.take_along_axis(f, np.minimum(i + 1, grid - 1), axis=-1)[..., 0]
+    return np.take_along_axis(gap, i, axis=-1)[..., 0], np.take_along_axis(f, i, axis=-1)[..., 0]
+
+
+DECIMAL_CONTEXT = decimal.Context(prec=40)
+
+
+def decimal_gap_nats(v, f):
+    """I_AE - I_AB in nats at (f, lam = v/f), in 40-digit decimal arithmetic.
+
+    I_AB = ((1 + 2v) ln(1 + 2v) + 2(1 - v) ln(1 - v))/3.  I_AE sums, over the
+    correct-key group (probability (1 + 2v)/3, ancilla overlap
+    (3f + 4v - 1)/(2(1 + 2v))) and the two wrong-key groups ((1 - v)/3 each,
+    overlap (3f - 2v - 1)/(2(1 - v))), ln 3 + w ln w + (1 - w) ln((1 - w)/2)
+    with the square-root-measurement success w = (sqrt(1 + 2x) + 2 sqrt(1 - x))^2/9
+    at overlap x.  Valid where every logarithm's argument is positive.
+    """
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        v, f = Decimal(v), Decimal(f)
+
+        def group_info(x):
+            w = ((1 + 2 * x).sqrt() + 2 * (1 - x).sqrt()) ** 2 / 9
+            return Decimal(3).ln() + w * w.ln() + (1 - w) * ((1 - w) / 2).ln()
+
+        i_ab = ((1 + 2 * v) * (1 + 2 * v).ln() + 2 * (1 - v) * (1 - v).ln()) / 3
+        i_ae = (1 + 2 * v) / 3 * group_info((3 * f + 4 * v - 1) / (2 * (1 + 2 * v)))
+        i_ae += 2 * (1 - v) / 3 * group_info((3 * f - 2 * v - 1) / (2 * (1 - v)))
+        return i_ae - i_ab
+
+
+def decimal_max_gap(v, f_near, log_base, half_width=1e-3):
+    """max of decimal_gap_nats(v, f) over |f - f_near| <= half_width, in the given log base.
+
+    Golden section down to a bracket of 1e-18 in f; the value returned is the
+    gap at an evaluated point, so it never exceeds the true maximum, and near a
+    peak of curvature |g''| it falls short by at most |g''| * 1e-36.
+    """
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        r = (Decimal(5).sqrt() - 1) / 2
+        a, b = Decimal(f_near) - Decimal(half_width), Decimal(f_near) + Decimal(half_width)
+        c, d = b - r * (b - a), a + r * (b - a)
+        gc, gd = decimal_gap_nats(v, c), decimal_gap_nats(v, d)
+        while b - a > Decimal("1e-18"):
+            if gc >= gd:
+                b, d, gd = d, c, gc
+                c = b - r * (b - a)
+                gc = decimal_gap_nats(v, c)
+            else:
+                a, c, gc = c, d, gd
+                d = a + r * (b - a)
+                gd = decimal_gap_nats(v, d)
+        return max(gc, gd) / Decimal(log_base).ln()

@@ -306,6 +306,9 @@ def test_crossover_defaults(tmp_path):
     assert abs(payload["v_max"] - 0.6629) <= 5e-4
     assert payload["v_max"] < CRITICAL_VISIBILITY
     assert abs(payload["argmax_f"] * payload["argmax_lam"] - payload["v_max"]) < 1e-12
+    assert payload["bracket"] < payload["tolerance"] == 1e-6
+    assert abs(payload["gap_residual"]) <= 1e-6
+    assert isinstance(payload["iterations"], int) and payload["iterations"] >= 1
 
     coarse = json.loads(tritkd("crossover", "--tolerance", "1e-4").stdout)
     assert abs(coarse["v_max"] - payload["v_max"]) < 1e-4

@@ -1,9 +1,12 @@
 """Tests for the sweep grid values and the crossover search."""
 
+import decimal
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from oracles import DECIMAL_CONTEXT, decimal_max_gap, reference_best_gap
 
 from tritkd.attack import (
     AttackParams,
@@ -14,7 +17,9 @@ from tritkd.attack import (
     subspace_analysis,
 )
 from tritkd.correlations import CRITICAL_VISIBILITY
-from tritkd.sweep import CSV_COLUMNS, find_crossover, format_csv, sweep_rows
+from tritkd.sweep import CSV_COLUMNS, _best_gap, find_crossover, format_csv, sweep_rows
+
+BAD_LOG_BASES = [0.5, 1.0, -2.0, float("inf"), float("nan")]
 
 
 def test_sweep_row_invariants():
@@ -103,7 +108,7 @@ def test_crossover_rejects_bad_tolerance():
     for tolerance in (0.0, -1e-6, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             find_crossover(tolerance=tolerance)
-    # finite but below what bisection in double precision can reach
+    # finite but below what the search in double precision can reach
     with pytest.raises(ValueError, match="not reached"):
         find_crossover(tolerance=1e-300)
 
@@ -113,3 +118,53 @@ def test_crossover_fine_tolerance_hits_reference(log_base):
     result = find_crossover(tolerance=1e-10, log_base=log_base)
     assert abs(result.v_max - 0.6629132985) <= 1e-8
     assert result.tolerance == 1e-10
+
+
+@pytest.mark.parametrize("log_base", [2.0, np.e, 3.0])
+def test_crossover_certified_in_decimal(log_base):
+    # the contour maximum of the gap, from the closed forms in 40-digit
+    # decimal arithmetic, changes sign within the reported tolerance of v_max
+    tol = 1e-10
+    result = find_crossover(tolerance=tol, log_base=log_base)
+    with decimal.localcontext(DECIMAL_CONTEXT):
+        v, t = Decimal(result.v_max), Decimal(tol)
+        below, at, above = (decimal_max_gap(x, result.argmax_f, log_base) for x in (v - t, v, v + t))
+    assert below >= 0
+    assert above < 0
+    assert abs(at) <= t
+
+
+def test_crossover_reports_how_the_search_ended():
+    result = find_crossover(tolerance=1e-10)
+    assert type(result.iterations) is int
+    assert type(result.bracket) is float and type(result.gap_residual) is float
+    assert 0.0 < result.bracket < 1e-10
+    assert abs(result.gap_residual) <= 1e-10
+    params = AttackParams(f=result.argmax_f, lam=result.argmax_lam)
+    gap = mutual_info_ae(params, 3.0) - mutual_info_ab(params, 3.0)
+    assert abs(gap - result.gap_residual) <= 1e-15
+    # a regression guard for the search's speed that timing noise cannot touch
+    assert result.iterations <= 10
+
+
+def test_best_gap_matches_deep_zoom():
+    vs = np.linspace(0.01, 0.999, 199)
+    gap, _ = _best_gap(vs)
+    deep, _ = reference_best_gap(vs)
+    assert np.array_equal(np.sign(gap), np.sign(deep))
+    assert np.max(np.abs(gap - deep)) <= 1e-14
+
+
+@pytest.mark.parametrize("log_base", BAD_LOG_BASES)
+def test_crossover_rejects_bad_log_base(log_base):
+    # 0.5 and inf gave a result whose gap was never checked (scale <= 0), and
+    # 1, nan and -2 used up the step budget and then blamed the tolerance
+    with pytest.raises(ValueError, match="log_base must be finite and greater than 1"):
+        find_crossover(1e-6, log_base)
+
+
+@pytest.mark.parametrize("log_base", BAD_LOG_BASES)
+def test_sweep_rows_rejects_bad_log_base(log_base):
+    # base 0.5 flips the sign of both informations, so v = 0.25 read as secure
+    with pytest.raises(ValueError, match="log_base must be finite and greater than 1"):
+        sweep_rows([0.5], [0.5], log_base=log_base)
