@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo protocol engine."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -245,6 +246,24 @@ def test_undisturbed_attack_is_invisible_but_uninformative():
     match = np.mean(alice == eve)
     n = len(alice)
     assert abs(match - 1 / 3) < 3 * np.sqrt((1 / 3) * (2 / 3) / n)
+
+
+# SHA-256 of run(config, workers=2).counts.tobytes() for attacked 2e6-trial
+# runs at (f, lam, seed), on the domain corners and inside it; a change to the
+# outcome tables that moves any trial's cell breaks them.
+GOLDEN_ATTACK_COUNTS = {
+    (1.0, -0.5, 3): "83871387a76e4b862aefa61e590e65c4780f5736cb96913fc86d047dab7b6bb5",
+    (1.0, 1.0, 7): "1dcf580f4f86b38174ec2d2480cad698b26b02ea35105d76e67a91c8e64a4b4a",
+    (0.9, 0.8, 42): "0cb7f71daa60dc1aa1694e2ddebc35b8af2215d278a6153e8e836a3a95422675",
+    (0.5, -0.2, 13): "3d49afb874bcfae71735e86e6ae11a87c3dd56f347c747f2f1337c3557b7c7ed",
+}
+
+
+@pytest.mark.parametrize("f, lam, seed", sorted(GOLDEN_ATTACK_COUNTS))
+def test_attacked_count_tables_reproducible(f, lam, seed):
+    config = SimConfig(trials=2_000_000, seed=seed, attack=AttackParams(f=f, lam=lam))
+    counts = run(config, workers=2).counts
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == GOLDEN_ATTACK_COUNTS[f, lam, seed]
 
 
 def test_strong_attack_triggers_abort():
