@@ -3,12 +3,13 @@
 Eve replaces the source with a tripartite state: with weight f the qutrit
 pair stays matched (|kk>) and her ancilla keeps only partial which-k
 information (pairwise overlap lam), with weight 1-f the pair is scrambled
-into the six unmatched kets tagged by orthonormal ancillas.  The product
-f*lam is the visibility Alice and Bob observe.
+into the six unmatched kets tagged by orthonormal ancillas.  Alice and Bob
+see the pair source's statistics at visibility f*lam, plus white noise.
 
 Two computation routes exist throughout: closed forms in (f, lam), and the
 explicit 81-dimensional state with square-root-measurement projections.  The
 test suite holds them against each other; neither is derived from the other.
+The simulation samples the white-noise tables, tested against the explicit route.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ def reduced_density(params: AttackParams) -> np.ndarray:
 
 
 def transformed_tripartite(params: AttackParams, phases_a, phases_b) -> np.ndarray:
-    """Tripartite state after both tritters act on the qutrits (ancilla untouched)."""
+    """Tripartite state after both tritters act on the qutrits (ancilla index last, untouched):
+    the explicit route the tests hold the simulation's white-noise outcome tables against."""
     u = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b))
-    return tensor(u, np.eye(9)) @ build_tripartite(params)
+    return (u @ build_tripartite(params).reshape(9, 9)).ravel()
 
 
 def srm_success(overlap: float):

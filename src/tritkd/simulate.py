@@ -1,8 +1,8 @@
 """Seeded Monte Carlo simulation of the full key-distribution protocol.
 
 Each trial draws independent settings for both observers, samples outcomes
-from the exact Born-rule tables of the configured source (honest pair source
-or eavesdropper-controlled), and, on key-generation trials under attack, adds
+from the exact Born-rule tables of the source (the pair source at visibility
+1, or f*lam under attack), and, on key-generation trials under attack, adds
 the eavesdropper's measurement record.  Trials consume a fixed number of
 counter-based random draws, so any sharding of the trial range reproduces the
 single-threaded stream bit for bit, and any trial range can be replayed.
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .attack import SUBSPACE_PAIRS, AttackParams, subspace_analysis, transformed_tripartite
+from .attack import SUBSPACE_PAIRS, AttackParams, subspace_analysis
+from .attack import transformed_tripartite  # noqa: F401 -- perfbench/spans.py wraps it on this module
 from .correlations import CRITICAL_VISIBILITY, QUANTUM_BELL_VALUE, bell_from_counts, joint_probs
 from .quantum import max_entangled_state, standard_settings
 
@@ -155,17 +156,13 @@ def _columns(cell: np.ndarray, eve: np.ndarray) -> np.ndarray:
 
 
 def _outcome_tables(config: SimConfig) -> np.ndarray:
-    """Exact p(a, b) for each of the nine setting pairs, flattened to (9, 9)."""
+    """Exact p(a, b) for each setting pair, flattened to (9, 9): the pair source's tables T
+    at visibility v (1 when honest) plus white noise, v T + (1 - v)/9 (proof in the README),
+    clipped at 0 where rounding leaves -2e-16 in the cells that vanish at v = -1/2."""
     alice, bob = standard_settings()
-    tables = np.empty((9, 9))
-    for m in range(3):
-        for n in range(3):
-            if config.attack is None:
-                tables[3 * m + n] = joint_probs(max_entangled_state(), alice[m], bob[n]).reshape(9)
-            else:
-                psi = transformed_tripartite(config.attack, alice[m], bob[n])
-                tables[3 * m + n] = (np.abs(psi.reshape(9, 9)) ** 2).sum(axis=1)
-    return tables
+    honest = np.array([joint_probs(max_entangled_state(), pa, pb).ravel() for pa in alice for pb in bob])
+    v = 1.0 if config.attack is None else config.attack.visibility
+    return np.clip(v * honest + (1.0 - v) / 9.0, 0.0, None)
 
 
 def _thresholds(cum: np.ndarray) -> np.ndarray:

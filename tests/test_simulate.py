@@ -17,13 +17,22 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 import tritkd.simulate
-from oracles import reference_bell, reference_shard, sifted_keys
-from tritkd.attack import SUBSPACE_PAIRS, AttackParams, ab_error, eve_error, subspace_analysis
+from oracles import feasible_grid, joint_probs_rho, reference_bell, reference_shard, sifted_keys
+from tritkd.attack import (
+    SUBSPACE_PAIRS,
+    AttackParams,
+    ab_error,
+    eve_error,
+    reduced_density,
+    subspace_analysis,
+    transformed_tripartite,
+)
 from tritkd.correlations import QUANTUM_BELL_VALUE, bell_from_counts, bell_s, correlation_q, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
     _BOB_KEY_TRIT,
     _EVE_TRIT,
+    _GROUP_OF_FLAT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
     _columns,
@@ -309,6 +318,49 @@ def test_bell_routes_agree(attack):
     v = 1.0 if attack is None else attack.visibility
     assert abs(s_counts - s_exact) < 1e-9
     assert abs(s_counts - QUANTUM_BELL_VALUE * v) < 1e-9
+
+
+def test_honest_tables_are_the_pair_source_bit_for_bit():
+    alice, bob = standard_settings()
+    tables = [joint_probs(max_entangled_state(), pa, pb).ravel() for pa in alice for pb in bob]
+    assert _outcome_tables(SimConfig(trials=1, seed=0)).tobytes() == np.array(tables).tobytes()
+
+
+def test_attacked_tables_match_the_explicit_state():
+    # v * honest + (1 - v)/9 against the 81-vector summed over the ancilla and
+    # against the reduced density matrix, for every setting pair
+    alice, bob = standard_settings()
+    fs, lams = feasible_grid()
+    points = [(f, lam) for f in fs for lam in lams] + [(0.0, -0.5), (0.0, 1.0), (1.0, -0.5), (1.0, 1.0)]
+    tables, summed, traced = [], [], []
+    for f, lam in points:
+        params = AttackParams(f=f, lam=lam)
+        tables.append(_outcome_tables(SimConfig(trials=1, seed=0, attack=params)))
+        rho = reduced_density(params)
+        for pa, pb in itertools.product(alice, bob):
+            psi = transformed_tripartite(params, pa, pb).reshape(9, 9)
+            summed.append((np.abs(psi) ** 2).sum(axis=1))
+            traced.append(joint_probs_rho(rho, pa, pb).ravel())
+    tables = np.reshape(tables, (-1, 9))
+    np.testing.assert_allclose(tables, summed, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(tables, traced, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("f, lam", [(1.0, -0.5), (1.0, 1.0), (0.0, 0.3), (0.5, -0.2)])
+def test_sampler_invariants_at_domain_edges(f, lam):
+    config = SimConfig(trials=200_000, seed=3, attack=AttackParams(f=f, lam=lam))
+    tables = _outcome_tables(config)
+    assert tables.min() >= 0.0
+    assert np.abs(tables.sum(axis=1) - 1.0).max() <= 1e-15
+    # the guide table and searchsorted need sorted thresholds within the draw range
+    thresh = _thresholds(_sampling_tables(config)[1])
+    assert np.all(np.diff(thresh, axis=1) >= 0)
+    assert thresh.min() >= 0 and thresh.max() <= 2**53
+    # a cell of probability 0 is never counted, nor at v = -1/2 (p0 = 0) a correct-key pair
+    counts = run(config).counts.reshape(9, 9)
+    assert not counts[tables == 0.0].any()
+    if f * lam == -0.5:
+        assert not counts[8, _GROUP_OF_FLAT == 0].any()
 
 
 def test_abort_decision_rule():
