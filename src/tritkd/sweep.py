@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,11 @@ CSV_COLUMNS = (
     "secure",
 )
 
+# Rows rendered per block, so format_csv's temporaries do not grow with the grid.
+_CSV_BLOCK = 1024
+
+# Powers of ten, exact as doubles up to 10**22.
+_POW10 = np.array([float(10**k) for k in range(16)])
 
 # Contour maximisation: a first scan of _GRID points in f guards against a second
 # maximum; each zoom rescans the best point's two cells at _ZOOM_GRID points,
@@ -88,14 +94,94 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
     return np.rec.fromarrays(columns, names=CSV_COLUMNS)
 
 
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(40,) "<u4" words of sign, integer digit and '.' by 20 * negative + 2 * digit + has
+    fraction, and (2 * 10**4,) "<u4" words of 0000 to 9999, trailing zeros as NUL in the first
+    10**4, all four digits in the rest; built on first use, not on import."""
+    digits = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + ord("0")
+    # a digit is trailing where it and every later digit of the chunk is a zero
+    trailing = np.cumprod((digits == ord("0"))[:, ::-1], axis=1)[:, ::-1].astype(bool)
+    chunks = np.concatenate([np.where(trailing, np.uint8(0), digits), digits]).view("<u4")[:, 0]
+    heads = [f"{sign}{digit}{dot}" for sign in ("", "-") for digit in range(10) for dot in ("", ".")]
+    return np.array(heads, dtype="S4").view("<u4"), chunks
+
+
+def _fixed_point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fast, q): where '%.9g' prints x as 0 or in [1e-4, 10) without exponent and the
+    mantissa below is certain, and there |x| rounded to 9 significant digits in units of
+    1e-12, an integer below 1e13; q is 0 elsewhere."""
+    finite = np.isfinite(x)
+    a = np.where(finite, np.abs(x), 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # log10(0), huge a, inf - inf
+        e = np.clip(np.floor(np.log10(a)), -6, 1).astype(np.intp)
+        s = a * _POW10[8 - e]
+        e += s >= 1e9
+        e -= s < 1e8
+        s = a * _POW10[8 - e]  # in [1e8, 1e9] where e is the decimal exponent of a
+        m = np.rint(s)
+        # |s - exact| < 1.2e-7, so away from a tie rint(s) is the correctly rounded mantissa
+        untied = np.abs(s - m) < 0.5 - 1e-6
+    carry = m == 1e9
+    m[carry] = 1e8
+    e += carry
+    fast = finite & ((a == 0) | (m >= 1e8) & (e >= -4) & (e <= 0) & untied)
+    # off the fast path m is 0 and e + 4 lies in [-3, 7], a valid index
+    return fast, np.where(fast, m, 0.0) * _POW10[e + 4]
+
+
+def _render_block(x: np.ndarray) -> bytes:
+    """'%.9g' of every value of the (rows, columns) float array x, comma separated, a row a line.
+
+    Each value is a record of five "<u4" words, NUL padded: sign, integer digit and '.', three
+    chunks of four decimals, separator; values off the fast path fill the first four from '%',
+    space padded.  NULs and spaces are dropped once.
+    """
+    heads, chunks = _csv_tables()
+    fast, q = _fixed_point(x)
+    # q, its chunks and their quotients are integers below 2**53, exact in float64,
+    # which divides faster than int64
+    digit = np.floor(q / 1e12)
+    fraction = q - digit * 1e12
+    c1 = np.floor(fraction / 1e8)
+    rest = fraction - c1 * 1e8
+    c2 = np.floor(rest / 1e4)
+    c3 = rest - c2 * 1e4
+    words = np.empty(x.shape + (5,), dtype="<u4")
+    words[..., 0] = heads[(20 * np.signbit(x) + 2 * digit + (fraction > 0)).astype(np.intp)]
+    # a chunk keeps its trailing zeros where a later chunk is nonzero
+    words[..., 1] = chunks[(c1 + 1e4 * (rest > 0)).astype(np.intp)]
+    words[..., 2] = chunks[(c2 + 1e4 * (c3 > 0)).astype(np.intp)]
+    words[..., 3] = chunks[c3.astype(np.intp)]
+    words[..., 4] = ord(",")
+    words[..., -1, 4] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # '%.9g' of a double has at most 16 characters, so '%-16.9g' pads each to 16
+        values = x.ravel()[slow].tolist()
+        text = ("%-16.9g" * len(values)) % tuple(values)
+        words.reshape(-1, 5)[slow, :4] = np.frombuffer(text.encode("ascii"), "<u4").reshape(-1, 4)
+    return words.tobytes().translate(None, b"\0 ")
+
+
 def format_csv(rows, comments=()) -> str:
-    """Render sweep_rows records as CSV with '#' comment lines, 9 significant
-    digits; the boolean flags print as 1 and 0."""
-    template = ",".join(["%.9g"] * len(CSV_COLUMNS))
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(CSV_COLUMNS))
-    lines.extend(template % row for row in rows.tolist())
-    return "\n".join(lines) + "\n"
+    """Render sweep_rows records as CSV with '#' comment lines: each value as '%.9g' would,
+    the boolean flags as 1 and 0, byte for byte.  A comment with a line break raises ValueError.
+
+    Exact because s = |x| * 10**(8 - e) is one correctly rounded product (10**k is exact for
+    k <= 22), so rint(s) is the 9-digit mantissa unless frac(s) is within 1e-6 of 1/2; those
+    values, and exponent notation, 10 or more, nan and inf, are rendered with '%'.
+    """
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise ValueError(f"a comment cannot contain a line break, got {comment!r}")
+    parts = [f"# {c}\n" for c in comments]
+    parts.append(",".join(CSV_COLUMNS) + "\n")
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start : start + _CSV_BLOCK]
+        x = np.stack([block[name] for name in CSV_COLUMNS], axis=1, dtype=float)
+        parts.append(_render_block(x).decode("ascii"))
+    return "".join(parts)
 
 
 def _best_gap(v) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ searchsorted sampler, and reference_bell, the trial-ordered Bell estimate
 behind the count-table one.  Two references hold the crossover search:
 reference_best_gap, a deep zoom along each contour behind the shallow one,
 and decimal_max_gap, the closed forms written out again in 40-digit decimal
-arithmetic and maximised by golden section.
+arithmetic and maximised by golden section.  reference_format_csv, one '%.9g'
+template per row, is the text the table-driven CSV renderer must match.
 """
 
 import decimal
@@ -32,6 +33,7 @@ from tritkd.attack import (
 from tritkd.correlations import ALPHA, _checked_table
 from tritkd.quantum import standard_settings, tensor, tritter_unitary
 from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT, _SLOT_OF_FLAT
+from tritkd.sweep import CSV_COLUMNS
 
 
 def feasible_grid(n_f=20, n_lam=20):
@@ -293,3 +295,12 @@ def decimal_max_gap(v, f_near, log_base, half_width=1e-3):
                 d = a + r * (b - a)
                 gd = decimal_gap_nats(v, d)
         return max(gc, gd) / Decimal(log_base).ln()
+
+
+def reference_format_csv(rows, comments=()):
+    """sweep_rows records as CSV, one '%.9g' template per row: the bytes format_csv must give."""
+    template = ",".join(["%.9g"] * len(CSV_COLUMNS))
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(CSV_COLUMNS))
+    lines.extend(template % row for row in rows.tolist())
+    return "\n".join(lines) + "\n"

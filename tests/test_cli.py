@@ -186,6 +186,17 @@ def test_import_does_not_load_process_machinery():
     assert result.stdout.strip() == "[]"
 
 
+def test_import_builds_no_text_tables():
+    # the digit tables of the CSV and transcript writers cost nothing until used
+    code = (
+        "import tritkd, tritkd.cli; "
+        "print(tritkd.sweep._csv_tables.cache_info().currsize, tritkd.simulate._text_tables.cache_info().currsize)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.split() == ["0", "0"]
+
+
 def test_public_names_resolve():
     import tritkd
 

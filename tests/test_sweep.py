@@ -1,12 +1,19 @@
 """Tests for the sweep grid values and the crossover search."""
 
 import decimal
+import math
+import re
+import tracemalloc
 import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from oracles import DECIMAL_CONTEXT, decimal_max_gap, reference_best_gap
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import DECIMAL_CONTEXT, decimal_max_gap, reference_best_gap, reference_format_csv
+
+import tritkd.sweep
 
 from tritkd.attack import (
     AttackParams,
@@ -20,6 +27,32 @@ from tritkd.correlations import CRITICAL_VISIBILITY
 from tritkd.sweep import CSV_COLUMNS, _best_gap, find_crossover, format_csv, sweep_rows
 
 BAD_LOG_BASES = [0.5, 1.0, -2.0, float("inf"), float("nan")]
+
+# (f range, lam range, steps, log base) of the CLI's golden sweeps, after clipping
+GOLDEN_GRIDS = [
+    ((0.0, 1.0), (-0.5, 1.0), 50, 3.0),
+    ((0.004, 1.0), (-0.5, 0.995), 100, 2.0),
+    ((0.0, 1.0), (-0.5, 1.0), 37, 2.718281828459045),
+]
+
+# where the 9-digit rounding changes notation, carries into a new decade or ties
+CSV_EDGE_VALUES = [
+    0.0, -0.0, 1e-4, math.nextafter(1e-4, 0.0), 9.9999999995e-5, 9.9999999949, 9.999999995,
+    2.0**-13, 0.5, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, True, False,
+    math.nextafter(10.0, 0.0), 10.0, -9.99999999999, 0.99999999999, 1.0, 0.1, 1e-5,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+def _assert_same_text(text, expected):
+    # compared as lines: pytest's diff of two long strings is far slower than the test
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def _one_value_rows(values):
+    """Records whose every field, flags included, holds the given value."""
+    column = np.asarray(values, dtype=float)
+    return np.rec.fromarrays([column] * len(CSV_COLUMNS), names=CSV_COLUMNS)
 
 
 def test_sweep_row_invariants():
@@ -75,6 +108,78 @@ def test_format_csv_structure():
     assert fields[9] in ("0", "1") and fields[10] in ("0", "1")
     # nine significant digits on the real-valued columns
     assert fields[7] == f"{rows[0].i_ab:.9g}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats())
+def test_format_csv_field_matches_percent_g(x):
+    line = format_csv(_one_value_rows([x])).splitlines()[1]
+    assert line == ",".join(["%.9g" % x] * len(CSV_COLUMNS))
+
+
+@pytest.mark.parametrize("x", CSV_EDGE_VALUES)
+def test_format_csv_edge_values(x):
+    line = format_csv(_one_value_rows([x])).splitlines()[1]
+    assert line.split(",") == ["%.9g" % x] * len(CSV_COLUMNS)
+    assert format_csv(_one_value_rows([-0.0])).splitlines()[1].split(",")[0] == "-0"
+
+
+def test_format_csv_near_rounding_ties():
+    # values within a few ulps, and within the tie guard, of a 9-digit rounding
+    # boundary in every decade of the fast path and on both sides of it
+    rng = np.random.default_rng(2024)
+    n = 11 * 2000
+    mantissa = rng.integers(10**8, 10**9, n) + 0.5
+    exponent = rng.integers(-6, 3, n)
+    tie = mantissa * 10.0 ** (exponent - 8)
+    step = 10.0 ** (exponent - 8) * rng.uniform(-3e-6, 3e-6, n)
+    values = np.concatenate([tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf), tie + step])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    rows = np.rec.fromarrays(values.reshape(len(CSV_COLUMNS), -1), names=CSV_COLUMNS)
+    _assert_same_text(format_csv(rows), reference_format_csv(rows))
+
+
+@pytest.mark.parametrize("f_range, lam_range, steps, log_base", GOLDEN_GRIDS)
+def test_format_csv_matches_reference_on_golden_grids(f_range, lam_range, steps, log_base):
+    rows = sweep_rows(np.linspace(*f_range, steps), np.linspace(*lam_range, steps), log_base)
+    comments = ("attack sweep", "clipped")
+    _assert_same_text(format_csv(rows, comments), reference_format_csv(rows, comments))
+
+
+@pytest.mark.parametrize("log_base", [1.0000000001, 1e308])
+def test_format_csv_matches_reference_in_exponent_notation(log_base):
+    # informations up to 1e10 in base 1 + 1e-10, below 1e-4 in many cells in base 1e308
+    rows = sweep_rows(np.linspace(0.0, 1.0, 30), np.linspace(-0.5, 1.0, 30), log_base)
+    text = format_csv(rows)
+    assert re.search(r"\de[+-]\d", text)
+    _assert_same_text(text, reference_format_csv(rows))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * tritkd.sweep._CSV_BLOCK + 3])
+def test_format_csv_matches_reference_at_any_length(n_rows):
+    rows = sweep_rows(np.linspace(0.0, 1.0, n_rows), [0.25])
+    assert len(rows) == n_rows
+    _assert_same_text(format_csv(rows, ("note",)), reference_format_csv(rows, ("note",)))
+
+
+def test_format_csv_memory_is_bounded_by_blocks():
+    # the text itself, a copy of it in per-block pieces, and one block's temporaries
+    rows = sweep_rows(np.linspace(0.0, 1.0, 300), np.linspace(-0.5, 1.0, 300))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = format_csv(rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(text)
+
+
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb", "\r\n"])
+def test_format_csv_rejects_line_breaks_in_comments(comment):
+    # "a\nb" used to put a data line "b" above the header
+    with pytest.raises(ValueError, match="line break"):
+        format_csv(sweep_rows([0.5], [0.5]), comments=(comment,))
 
 
 def test_crossover_reproduces_reference_value():
