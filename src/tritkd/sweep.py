@@ -126,7 +126,7 @@ def _fixed_point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m[carry] = 1e8
     e += carry
     fast = finite & ((a == 0) | (m >= 1e8) & (e >= -4) & (e <= 0) & untied)
-    # off the fast path m is 0 and e + 4 lies in [-3, 7], a valid index
+    # e + 4 lies in [-3, 7], a valid index; off the fast path the product is 0
     return fast, np.where(fast, m, 0.0) * _POW10[e + 4]
 
 

@@ -190,7 +190,7 @@ def test_import_builds_no_text_tables():
     # the digit tables of the CSV and transcript writers cost nothing until used
     code = (
         "import tritkd, tritkd.cli; "
-        "print(tritkd.sweep._csv_tables.cache_info().currsize, tritkd.simulate._text_tables.cache_info().currsize)"
+        "print(*(f.cache_info().currsize for f in (tritkd.sweep._csv_tables, tritkd.simulate._text_tables)))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0
