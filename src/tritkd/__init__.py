@@ -1,85 +1,1 @@
 """Entanglement-based qutrit key distribution: analysis and simulation toolkit."""
-
-from .quantum import (
-    ALPHA,
-    InfeasibleGramError,
-    chi_state,
-    inv_sqrt,
-    max_entangled_state,
-    standard_settings,
-    tensor,
-    tritter_unitary,
-    vectors_from_gram,
-)
-from .correlations import (
-    CRITICAL_VISIBILITY,
-    LOCAL_REALISM_BOUND,
-    QUANTUM_BELL_VALUE,
-    bell_s,
-    correlation_q,
-    correlation_q_closed,
-    joint_probs,
-)
-from .attack import (
-    AttackParams,
-    DegenerateDiscriminationError,
-    NoiseCoefficients,
-    SubspaceAnalysis,
-    SUBSPACE_PAIRS,
-    ab_error,
-    build_ancilla_states,
-    build_tripartite,
-    coefficients,
-    eve_error,
-    mutual_info_ab,
-    mutual_info_ae,
-    srm_directions,
-    subspace_analysis,
-)
-from .simulate import (
-    ProtocolTranscript,
-    SimConfig,
-    abort_decision,
-    run,
-)
-from .sweep import CrossoverResult, find_crossover, sweep_rows
-
-__all__ = [
-    "ALPHA",
-    "AttackParams",
-    "CRITICAL_VISIBILITY",
-    "CrossoverResult",
-    "DegenerateDiscriminationError",
-    "InfeasibleGramError",
-    "LOCAL_REALISM_BOUND",
-    "NoiseCoefficients",
-    "ProtocolTranscript",
-    "QUANTUM_BELL_VALUE",
-    "SUBSPACE_PAIRS",
-    "SimConfig",
-    "SubspaceAnalysis",
-    "ab_error",
-    "abort_decision",
-    "bell_s",
-    "build_ancilla_states",
-    "build_tripartite",
-    "chi_state",
-    "coefficients",
-    "correlation_q",
-    "correlation_q_closed",
-    "eve_error",
-    "find_crossover",
-    "inv_sqrt",
-    "joint_probs",
-    "max_entangled_state",
-    "mutual_info_ab",
-    "mutual_info_ae",
-    "run",
-    "srm_directions",
-    "standard_settings",
-    "subspace_analysis",
-    "sweep_rows",
-    "tensor",
-    "tritter_unitary",
-    "vectors_from_gram",
-]

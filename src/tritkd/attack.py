@@ -40,6 +40,8 @@ SUBSPACE_PAIRS = (
 
 # Unmatched kets in a fixed order; each gets its own orthonormal ancilla.
 _UNMATCHED = ((0, 1), (1, 0), (2, 0), (0, 2), (1, 2), (2, 1))
+# Qutrit pairs in the order of Eve's nine ancilla states, matched kets first.
+_PAIRS = ((0, 0), (1, 1), (2, 2)) + _UNMATCHED
 
 
 class DegenerateDiscriminationError(ValueError):
@@ -126,18 +128,10 @@ def build_ancilla_states(params: AttackParams) -> dict[tuple[int, int], np.ndarr
     """
     gram = np.full((3, 3), complex(params.lam))
     np.fill_diagonal(gram, 1.0)
-    matched = vectors_from_gram(gram)
-
-    states: dict[tuple[int, int], np.ndarray] = {}
-    for k in range(3):
-        vec = np.zeros(9, dtype=complex)
-        vec[:3] = matched[k]
-        states[(k, k)] = vec
-    for idx, pair in enumerate(_UNMATCHED):
-        vec = np.zeros(9, dtype=complex)
-        vec[3 + idx] = 1.0
-        states[pair] = vec
-    return states
+    rows = np.zeros((9, 9), dtype=complex)
+    rows[:3, :3] = vectors_from_gram(gram)
+    rows[3:, 3:] = np.eye(6)
+    return dict(zip(_PAIRS, rows))
 
 
 def build_tripartite(params: AttackParams) -> np.ndarray:
@@ -148,13 +142,11 @@ def build_tripartite(params: AttackParams) -> np.ndarray:
     out the ancilla reproduces density_from_coefficients(coefficients(params)).
     """
     f = params.f
-    g = 1.0 - f
-    vec = np.zeros(81, dtype=complex)
-    for (m, n), anc in build_ancilla_states(params).items():
-        weight = np.sqrt(f / 3.0) if m == n else np.sqrt(g / 6.0)
-        idx = (3 * m + n) * 9
-        vec[idx : idx + 9] = weight * anc
-    return vec
+    weights = np.repeat([np.sqrt(f / 3.0), np.sqrt((1.0 - f) / 6.0)], [3, 6])
+    rows = np.array([*build_ancilla_states(params).values()])
+    vec = np.zeros((9, 9), dtype=complex)  # ket 3a+b x ancilla
+    vec[[3 * m + n for m, n in _PAIRS]] = weights[:, None] * rows
+    return vec.ravel()
 
 
 def reduced_density(params: AttackParams) -> np.ndarray:
@@ -269,6 +261,12 @@ def ab_error(params: AttackParams) -> float | np.ndarray:
     return 2.0 * (1.0 - params.visibility) / 3.0
 
 
+def _check_log_base(log_base: float) -> None:
+    # below 1 every information is negative and I_AB > I_AE would flip
+    if not (np.isfinite(log_base) and log_base > 1.0):
+        raise ValueError(f"log_base must be finite and greater than 1, got {log_base!r}")
+
+
 def mutual_info_ab(params: AttackParams, log_base: float = 3.0) -> float | np.ndarray:
     """Mutual information per sifted symbol between Alice and Bob.
 
@@ -279,6 +277,7 @@ def mutual_info_ab(params: AttackParams, log_base: float = 3.0) -> float | np.nd
 
     written with log1p to keep full relative precision for small |v|.
     """
+    _check_log_base(log_base)
     v = np.asarray(params.visibility, dtype=float)
     # 0 log 0 = 0 at the endpoints v = -1/2 and v = 1
     matched = (1.0 + 2.0 * v) * np.log1p(np.where(v > -0.5, 2.0 * v, 0.0))
@@ -306,4 +305,5 @@ def mutual_info_ae(params: AttackParams, log_base: float = 3.0) -> float | np.nd
 
     Groups with zero probability contribute nothing.
     """
+    _check_log_base(log_base)
     return _unwrap(_over_groups(params, _group_info_nats) / np.log(log_base))

@@ -23,10 +23,11 @@ BELL_WEIGHTS = {(1, 1): -ALPHA**2, (1, 2): ALPHA, (2, 1): ALPHA**2, (2, 2): -ALP
 
 def _checked_table(p: np.ndarray) -> np.ndarray:
     # Clamp floating-point dust; anything more negative is a construction bug.
-    if p.min() < -1e-12:
+    # Each check is written so that NaN fails it.
+    if not p.min() >= -1e-12:
         raise ValueError(f"negative probability {p.min():.3e}")
     total = p.sum()
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     return np.clip(p, 0.0, None)
 
@@ -37,7 +38,7 @@ def joint_probs(state, phases_a, phases_b) -> np.ndarray:
     if psi.shape != (9,):
         raise ValueError(f"state must be a 9-vector, got shape {psi.shape}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise ValueError(f"state is not normalized (norm {norm})")
     amp = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b)) @ psi
     return _checked_table(np.abs(amp.reshape(3, 3)) ** 2)

@@ -88,18 +88,23 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+def _hermitian_eigh(m, noun: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a square Hermitian matrix; noun names it in the error messages."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square {noun}, got shape {m.shape}")
+    if not np.allclose(m, m.conj().T, atol=_HERMITIAN_ATOL, rtol=0.0):
+        raise ValueError(f"{noun} is not Hermitian")
+    return np.linalg.eigh(m)
+
+
 def inv_sqrt(m, tol: float = 1e-12) -> np.ndarray:
     """Inverse square root of a Hermitian PSD matrix, restricted to its support.
 
     Eigenvalues above tol map to 1/sqrt(value); the rest map to 0, so for
     singular input this is the pseudo-inverse square root.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.conj().T, atol=_HERMITIAN_ATOL, rtol=0.0):
-        raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = _hermitian_eigh(m, "matrix")
     keep = vals > tol
     inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
     return (vecs * inv) @ vecs.conj().T
@@ -113,12 +118,7 @@ def vectors_from_gram(gram) -> list[np.ndarray]:
     with the same Gram is equivalent for observable quantities; this one
     treats the vectors symmetrically.
     """
-    g = np.asarray(gram, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square Gram matrix, got shape {g.shape}")
-    if not np.allclose(g, g.conj().T, atol=_HERMITIAN_ATOL, rtol=0.0):
-        raise ValueError("Gram matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(g)
+    vals, vecs = _hermitian_eigh(gram, "Gram matrix")
     if vals.min() < -1e-10:
         raise InfeasibleGramError(
             f"Gram matrix has negative eigenvalue {vals.min():.3e}"
@@ -128,7 +128,7 @@ def vectors_from_gram(gram) -> list[np.ndarray]:
     cutoff = 1e-12 * max(float(vals.max()), np.finfo(float).tiny)
     vals = np.where(vals > cutoff, vals, 0.0)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return [root[:, i].copy() for i in range(g.shape[0])]
+    return [root[:, i].copy() for i in range(len(vals))]
 
 
 def trace_out_ancilla(vec, sys_dim: int, anc_dim: int) -> np.ndarray:

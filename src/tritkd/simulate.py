@@ -99,6 +99,8 @@ class SimConfig:
                 raise ValueError(
                     "setting_weights must be 9 nonnegative values summing to 1"
                 )
+            # the annotated type, so that == and hash work for list and array input
+            object.__setattr__(self, "setting_weights", tuple(float(x) for x in w))
 
 
 @dataclass

@@ -10,6 +10,7 @@ import numpy as np
 
 from .attack import (
     AttackParams,
+    _check_log_base,
     ab_error,
     eve_error,
     mutual_info_ab,
@@ -67,19 +68,12 @@ class CrossoverResult:
     gap_residual: float
 
 
-def _check_log_base(log_base: float) -> None:
-    # below 1 every information is negative and I_AB > I_AE would flip
-    if not (np.isfinite(log_base) and log_base > 1.0):
-        raise ValueError(f"log_base must be finite and greater than 1, got {log_base!r}")
-
-
 def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
     """Evaluate every (f, lam) pair, f outermost, both axes in given order.
 
     One record per grid point, with the fields named by CSV_COLUMNS; bell_violated and secure
     are booleans, the rest floats.  A log_base that is not finite and > 1 raises ValueError.
     """
-    _check_log_base(log_base)
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
     params = AttackParams(f=f.ravel(), lam=lam.ravel())
     v = params.visibility

@@ -186,6 +186,16 @@ def test_import_does_not_load_process_machinery():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["tritkd.attack", "tritkd.sweep"])
+def test_analysis_import_does_not_load_simulation(module):
+    # the package's __init__ imports nothing, so the closed forms load only what they use
+    names = ("tritkd.simulate", "numpy.random", "concurrent.futures")
+    code = f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "[]"
+
+
 def test_import_builds_no_text_tables():
     # the digit tables of the CSV and transcript writers cost nothing until used
     code = (
@@ -195,13 +205,6 @@ def test_import_builds_no_text_tables():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.split() == ["0", "0"]
-
-
-def test_public_names_resolve():
-    import tritkd
-
-    missing = [name for name in tritkd.__all__ if not hasattr(tritkd, name)]
-    assert missing == []
 
 
 def _readme_cli_examples():

@@ -44,8 +44,12 @@ def test_joint_probs_normalized_for_random_inputs():
 
 
 def test_joint_probs_rejects_unnormalized_state():
-    with pytest.raises(ValueError):
-        joint_probs(np.ones(9, dtype=complex), ALICE[0], BOB[0])
+    # NaN fails every comparison, so each check is written to let only good values pass
+    for value in (1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="not normalized"):
+            joint_probs(np.full(9, value, dtype=complex), ALICE[0], BOB[0])
+        with pytest.raises(ValueError):
+            joint_probs_rho(np.full((9, 9), value, dtype=complex), ALICE[0], BOB[0])
 
 
 def test_correlation_table_path_matches_closed_form():

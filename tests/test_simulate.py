@@ -98,6 +98,18 @@ def test_config_validation():
     SimConfig(trials=10, seed=1, setting_weights=(1 / 9,) * 9)
 
 
+def test_setting_weights_stored_as_float_tuple():
+    # array weights made == raise "truth value ... is ambiguous", list weights never equaled a tuple
+    w = [0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]
+    configs = [SimConfig(trials=10, seed=1, setting_weights=x) for x in (w, tuple(w), np.array(w))]
+    for config in configs:
+        assert config.setting_weights == tuple(w)
+        assert all(type(x) is float for x in config.setting_weights)
+        assert config == configs[0]
+        assert hash(config) == hash(configs[0])
+    assert configs[0] != SimConfig(trials=10, seed=1)
+
+
 def test_same_seed_same_transcript():
     config = SimConfig(trials=5000, seed=123, attack=AttackParams(f=0.9, lam=0.8))
     assert _transcripts_equal(run(config), run(config))

@@ -267,6 +267,14 @@ def test_crossover_rejects_bad_log_base(log_base):
         find_crossover(1e-6, log_base)
 
 
+@pytest.mark.parametrize("info", [mutual_info_ab, mutual_info_ae])
+@pytest.mark.parametrize("log_base", BAD_LOG_BASES)
+def test_mutual_info_rejects_bad_log_base(info, log_base):
+    # base 1 gave inf, 0.5 negative information, inf 0, and nan and -2 gave nan
+    with pytest.raises(ValueError, match="log_base must be finite and greater than 1"):
+        info(AttackParams(f=0.9, lam=0.8), log_base)
+
+
 @pytest.mark.parametrize("log_base", BAD_LOG_BASES)
 def test_sweep_rows_rejects_bad_log_base(log_base):
     # base 0.5 flips the sign of both informations, so v = 0.25 read as secure
