@@ -114,6 +114,9 @@ def cmd_crossover(args, parser) -> int:
         result = find_crossover(tolerance=args.tolerance, log_base=args.log_base)
     except ValueError as exc:
         parser.error(str(exc))
+    except RuntimeError as exc:  # no bracket: the search has nothing to report
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True))
     return 0
 

@@ -37,8 +37,8 @@ CSV_COLUMNS = (
 # Rows rendered per block, so format_csv's temporaries do not grow with the grid.
 _CSV_BLOCK = 1024
 
-# Powers of ten, exact as doubles up to 10**22.
-_POW10 = np.array([float(10**k) for k in range(16)])
+# Powers of ten, exact as doubles up to 10**22; the larger ones only scale values left to '%'.
+_POW10 = np.array([float(10**k) for k in range(25)])
 
 # Contour maximisation: a first scan of _GRID points in f guards against a second
 # maximum; each zoom rescans the best point's two cells at _ZOOM_GRID points,
@@ -52,6 +52,9 @@ _F_SPACING = 1e-8
 _ZOOMS = math.ceil(math.log(1.0 / (_GRID - 1) / _F_SPACING, (_ZOOM_GRID - 1) / 2))
 _STEPS = 200
 _MIDPOINT_EVERY = 4  # so the bracket at least halves every few steps
+# find_crossover's bracket scan: on its fixed v grid a one-pass _SCAN_GRID-point maximum falls
+# at most 5.3e-4 nats short of _best_gap, while |gap| >= 3.6e-3, so their signs agree.
+_SCAN_GRID = 51
 
 
 @dataclass(frozen=True)
@@ -90,63 +93,73 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
 
 @functools.cache
 def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(40,) "<u4" words of sign, integer digit and '.' by 20 * negative + 2 * digit + has
-    fraction, and (2 * 10**4,) "<u4" words of 0000 to 9999, trailing zeros as NUL in the first
-    10**4, all four digits in the rest; built on first use, not on import."""
+    """(40,) "<u4" words of sign, integer digit and '.' by 20 * negative + 10 * has fraction +
+    digit, and (2 * 10**4 + 15,) "<u4" words of 0000 to 9999, trailing zeros as NUL in the first
+    10**4, all four digits in the next, then e-00 to e-14; built on first use, not on import."""
     digits = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + ord("0")
     # a digit is trailing where it and every later digit of the chunk is a zero
     trailing = np.cumprod((digits == ord("0"))[:, ::-1], axis=1)[:, ::-1].astype(bool)
     chunks = np.concatenate([np.where(trailing, np.uint8(0), digits), digits]).view("<u4")[:, 0]
-    heads = [f"{sign}{digit}{dot}" for sign in ("", "-") for digit in range(10) for dot in ("", ".")]
-    return np.array(heads, dtype="S4").view("<u4"), chunks
+    suffixes = np.array([f"e-{k:02d}" for k in range(15)], dtype="S4").view("<u4")
+    heads = [f"{sign}{digit}{dot}" for sign in ("", "-") for dot in ("", ".") for digit in range(10)]
+    return np.array(heads, dtype="S4").view("<u4"), np.concatenate([chunks, suffixes])
 
 
-def _fixed_point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fast, q): where '%.9g' prints x as 0 or in [1e-4, 10) without exponent and the
-    mantissa below is certain, and there |x| rounded to 9 significant digits in units of
-    1e-12, an integer below 1e13; q is 0 elsewhere."""
+def _fixed_point(x, a, q, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fast, expo, n): where '%.9g' prints x as 0, as |x| in [1e-4, 10) without exponent or
+    in [1e-14, 1e-4) with one (expo, minus the exponent in n), and the mantissa below is
+    certain.  Writes into q |x| rounded to 9 significant digits in units of 1e-12 (the
+    mantissa's, with an exponent), an integer below 1e13, 0 elsewhere; a and k are scratch."""
     finite = np.isfinite(x)
-    a = np.where(finite, np.abs(x), 0.0)
+    np.abs(x, out=a)
+    a[~finite] = 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # log10(0), huge a, inf - inf
-        e = np.clip(np.floor(np.log10(a)), -6, 1).astype(np.intp)
-        s = a * _POW10[8 - e]
-        e += s >= 1e9
-        e -= s < 1e8
-        s = a * _POW10[8 - e]  # in [1e8, 1e9] where e is the decimal exponent of a
+        np.clip(np.floor(np.log10(a, out=q), out=q), -15, 1, out=q)
+        np.subtract(8, q, out=k, casting="unsafe")
+        s = np.multiply(a, np.take(_POW10, k, out=q), out=q)
+        k -= s >= 1e9
+        k += s < 1e8
+        s = np.multiply(a, np.take(_POW10, k, out=q), out=q)  # in [1e8, 1e9] where k - 8 is -exponent
         m = np.rint(s)
         # |s - exact| < 1.2e-7, so away from a tie rint(s) is the correctly rounded mantissa
-        untied = np.abs(s - m) < 0.5 - 1e-6
+        untied = np.abs(np.subtract(s, m, out=s), out=s) < 0.5 - 1e-6
+    fast = finite & ((a == 0) | (m >= 1e8) & (k <= 22) & untied)  # 10**k is exact
     carry = m == 1e9
     m[carry] = 1e8
-    e += carry
-    fast = finite & ((a == 0) | (m >= 1e8) & (e >= -4) & (e <= 0) & untied)
-    # e + 4 lies in [-3, 7], a valid index; off the fast path the product is 0
-    return fast, np.where(fast, m, 0.0) * _POW10[e + 4]
+    k -= carry
+    fast &= k >= 8
+    m[~fast] = 0.0
+    expo = fast & (k > 12) & (a > 0)
+    n = k[expo] - 8
+    np.subtract(12, k, out=k)
+    k[expo] = 4  # the mantissa is scaled as if in [1, 10)
+    np.multiply(m, np.take(_POW10, k, mode="clip", out=a), out=q)
+    return fast, expo, n
 
 
-def _render_block(x: np.ndarray) -> bytes:
+def _render_block(x, words, a, q, c, k) -> bytes:
     """'%.9g' of every value of the (rows, columns) float array x, comma separated, a row a line.
 
     Each value is a record of five "<u4" words, NUL padded: sign, integer digit and '.', three
-    chunks of four decimals, separator; values off the fast path fill the first four from '%',
-    space padded.  NULs and spaces are dropped once.
+    chunks of four decimals (or two and an exponent), separator; values off the fast path fill
+    the first four from '%', space padded.  NULs and spaces are dropped once.  words, a, q, c
+    and k are scratch of x's shape (words with 5 more), reused from block to block.
     """
     heads, chunks = _csv_tables()
-    fast, q = _fixed_point(x)
+    fast, expo, n = _fixed_point(x, a, q, k)
+    q[np.signbit(x)] += 2e13  # a minus sign as 20 more integer digits, as heads has it
     # q, its chunks and their quotients are integers below 2**53, exact in float64,
-    # which divides faster than int64
-    digit = np.floor(q / 1e12)
-    fraction = q - digit * 1e12
-    c1 = np.floor(fraction / 1e8)
-    rest = fraction - c1 * 1e8
-    c2 = np.floor(rest / 1e4)
-    c3 = rest - c2 * 1e4
-    words = np.empty(x.shape + (5,), dtype="<u4")
-    words[..., 0] = heads[(20 * np.signbit(x) + 2 * digit + (fraction > 0)).astype(np.intp)]
-    # a chunk keeps its trailing zeros where a later chunk is nonzero
-    words[..., 1] = chunks[(c1 + 1e4 * (rest > 0)).astype(np.intp)]
-    words[..., 2] = chunks[(c2 + 1e4 * (c3 > 0)).astype(np.intp)]
-    words[..., 3] = chunks[c3.astype(np.intp)]
+    # which divides faster than int64; each pass takes the leading digit or chunk off q
+    for word, (scale, table, more) in enumerate([(1e12, heads, 10), (1e8, chunks, 1e4), (1e4, chunks, 1e4)]):
+        np.floor(np.divide(q, scale, out=c), out=c)
+        q -= np.multiply(c, scale, out=a)
+        # '.' after the digit, and a chunk's trailing zeros, where a nonzero decimal follows
+        np.add(c, more, out=c, where=q > 0)
+        k[...] = c
+        words[..., word] = table[k]
+    k[...] = q
+    words[..., 3] = chunks[k]
+    words[..., 3][expo] = chunks[2 * 10**4 + n]
     words[..., 4] = ord(",")
     words[..., -1, 4] = ord("\n")
     slow = np.flatnonzero(~fast)
@@ -164,31 +177,36 @@ def format_csv(rows, comments=()) -> str:
 
     Exact because s = |x| * 10**(8 - e) is one correctly rounded product (10**k is exact for
     k <= 22), so rint(s) is the 9-digit mantissa unless frac(s) is within 1e-6 of 1/2; those
-    values, and exponent notation, 10 or more, nan and inf, are rendered with '%'.
+    values, and exponents below -14, 10 or more, nan and inf, are rendered with '%'.
     """
     for comment in comments:
         if "\n" in comment or "\r" in comment:
             raise ValueError(f"a comment cannot contain a line break, got {comment!r}")
     parts = [f"# {c}\n" for c in comments]
     parts.append(",".join(CSV_COLUMNS) + "\n")
+    # one block's arrays, allocated once, so that later blocks do not fault their pages in again
+    shape = (min(len(rows), _CSV_BLOCK), len(CSV_COLUMNS))
+    buffers = [np.empty(shape), np.empty(shape + (5,), "<u4"), *np.empty((3,) + shape)]
+    buffers.append(np.empty(shape, np.intp))
     for start in range(0, len(rows), _CSV_BLOCK):
         block = rows[start : start + _CSV_BLOCK]
-        x = np.stack([block[name] for name in CSV_COLUMNS], axis=1, dtype=float)
-        parts.append(_render_block(x).decode("ascii"))
+        x, *scratch = (b[: len(block)] for b in buffers)
+        np.stack([block[name] for name in CSV_COLUMNS], axis=1, out=x)
+        parts.append(_render_block(x, *scratch).decode("ascii"))
     return "".join(parts)
 
 
-def _best_gap(v) -> tuple[np.ndarray, np.ndarray]:
+def _best_gap(v, grid: int = _GRID, zooms: int = _ZOOMS) -> tuple[np.ndarray, np.ndarray]:
     """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, vectorised over v.
 
-    A grid in f is zoomed onto the neighbours of its best point, first at _GRID points, then
-    _ZOOMS times at _ZOOM_GRID.  I_AB depends on v alone: it is evaluated once, outside.
+    A grid in f is zoomed onto the neighbours of its best point, first at grid points, then
+    zooms times at _ZOOM_GRID.  I_AB depends on v alone: it is evaluated once, outside.
     """
     v = np.asarray(v, dtype=float)
     i_ab = mutual_info_ab(AttackParams(f=1.0, lam=v), np.e)
     lo = np.maximum(v, 1e-9)  # lam = v/f must stay <= 1
     hi = np.ones_like(lo)
-    for n in (_GRID,) + (_ZOOM_GRID,) * _ZOOMS:
+    for n in (grid,) + (_ZOOM_GRID,) * zooms:
         f = np.linspace(lo, hi, n, axis=-1)
         i_ae = mutual_info_ae(AttackParams(f=f, lam=v[..., None] / f), np.e)
         i = np.argmax(i_ae, axis=-1)[..., None]
@@ -200,27 +218,39 @@ def _best_gap(v) -> tuple[np.ndarray, np.ndarray]:
 def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverResult:
     """Largest visibility v = f*lam at which I_AE can still reach I_AB.
 
-    A coarse scan over v brackets the last sign change of the contour-maximized
+    A coarse scan over v (_bracket) brackets the last sign change of the contour-maximized
     information gap.  Illinois false position, with a midpoint where the secant
     point leaves the bracket and on every _MIDPOINT_EVERY-th step, keeps
     gap(lo) >= 0 > gap(hi) until the bracket is narrower than tolerance and the
     gap at the result is within tolerance (in the given log base; the location
     is base-independent).  Raises ValueError for a tolerance that is not finite
-    and positive or that the search cannot reach, or a log_base not finite and > 1.
+    and positive or that the search cannot reach, or a log_base not finite and > 1,
+    and RuntimeError where _bracket finds no sign change.
     """
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     _check_log_base(log_base)
-    scale = 1.0 / math.log(log_base)
+    return _false_position(*_bracket(), tolerance, log_base)
 
+
+def _bracket() -> tuple[float, float, float, float]:
+    """(lo, hi, gap(lo), gap(hi)) of _best_gap around its last sign change on a fixed v grid:
+    located by a one-pass _SCAN_GRID-point scan, confirmed by _best_gap at both ends."""
     vs = np.linspace(0.01, 0.999, 199)
-    gaps = _best_gap(vs)[0]
-    crossings = np.nonzero((gaps[:-1] >= 0.0) & (gaps[1:] < 0.0))[0]
+    rough = _best_gap(vs, _SCAN_GRID, 0)[0]
+    crossings = np.nonzero((rough[:-1] >= 0.0) & (rough[1:] < 0.0))[0]
     if crossings.size == 0:
         raise RuntimeError("no sign change of the information gap found")
-    k = crossings[-1]
-    lo, hi, g_lo, g_hi = float(vs[k]), float(vs[k + 1]), float(gaps[k]), float(gaps[k + 1])
+    lo, hi = (float(v) for v in vs[crossings[-1] : crossings[-1] + 2])
+    g_lo, g_hi = (float(g) for g in _best_gap(np.array([lo, hi]))[0])
+    if not g_lo >= 0.0 > g_hi:
+        raise RuntimeError(f"the information gap does not change sign between v = {lo!r} and {hi!r}")
+    return lo, hi, g_lo, g_hi
 
+
+def _false_position(lo, hi, g_lo, g_hi, tolerance, log_base) -> CrossoverResult:
+    """find_crossover's search from a bracket with gap(lo) = g_lo >= 0 > g_hi = gap(hi)."""
+    scale = 1.0 / math.log(log_base)
     kept = 0  # +1 if the last step kept hi, -1 if it kept lo
     for step in range(1, _STEPS + 1):
         mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)

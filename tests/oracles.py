@@ -7,11 +7,13 @@ SUBSPACE_PAIRS, never from the closed-form expressions or the vectorised
 tables under test.  The array kernels are references the simulation is held
 against: reference_shard, the plain comparison-sum sampler behind the blocked
 searchsorted sampler, and reference_bell, the trial-ordered Bell estimate
-behind the count-table one.  Two references hold the crossover search:
-reference_best_gap, a deep zoom along each contour behind the shallow one,
-and decimal_max_gap, the closed forms written out again in 40-digit decimal
-arithmetic and maximised by golden section.  reference_format_csv, one '%.9g'
-template per row, is the text the table-driven CSV renderer must match.
+behind the count-table one.  Three references hold the crossover search:
+reference_best_gap, a deep zoom along each contour behind the shallow one;
+decimal_max_gap, the closed forms written out again in 40-digit decimal
+arithmetic and maximised by golden section; and reference_find_crossover,
+bracketed by the fully zoomed scan behind the one-pass bracket scan.
+reference_format_csv, one '%.9g' template per row, is the text the
+table-driven CSV renderer must match.
 """
 
 import decimal
@@ -33,7 +35,7 @@ from tritkd.attack import (
 from tritkd.correlations import ALPHA, _checked_table
 from tritkd.quantum import standard_settings, tensor, tritter_unitary
 from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT, _SLOT_OF_FLAT
-from tritkd.sweep import CSV_COLUMNS
+from tritkd.sweep import CSV_COLUMNS, _best_gap, _false_position
 
 
 def feasible_grid(n_f=20, n_lam=20):
@@ -245,6 +247,14 @@ def reference_best_gap(v, grid=201, zooms=6):
         lo = np.take_along_axis(f, np.maximum(i - 1, 0), axis=-1)[..., 0]
         hi = np.take_along_axis(f, np.minimum(i + 1, grid - 1), axis=-1)[..., 0]
     return np.take_along_axis(gap, i, axis=-1)[..., 0], np.take_along_axis(f, i, axis=-1)[..., 0]
+
+
+def reference_find_crossover(tolerance, log_base):
+    """find_crossover, bracketed by _best_gap at every point of the 199-point v grid."""
+    vs = np.linspace(0.01, 0.999, 199)
+    gaps = _best_gap(vs)[0]
+    k = np.nonzero((gaps[:-1] >= 0.0) & (gaps[1:] < 0.0))[0][-1]
+    return _false_position(float(vs[k]), float(vs[k + 1]), float(gaps[k]), float(gaps[k + 1]), tolerance, log_base)
 
 
 DECIMAL_CONTEXT = decimal.Context(prec=40)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -470,3 +471,28 @@ def test_simulate_out_without_pwrite_is_io_error(monkeypatch, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == "error: writing a transcript needs os.pwrite, which this platform lacks\n"
     assert not (out / "transcript.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("scan", r"no sign change of the information gap found"),
+        ("confirmation", r"the information gap does not change sign between v = 0\.6\d+ and 0\.6\d+"),
+    ],
+    ids=["scan", "confirmation"],
+)
+def test_crossover_without_bracket_is_runtime_error(monkeypatch, capsys, fault, message):
+    # the gap read as nonnegative everywhere, by the bracket scan or only by its confirmation
+    import tritkd.sweep
+
+    best_gap = tritkd.sweep._best_gap
+
+    def no_sign_change(v, *scan):
+        gap, f = best_gap(v, *scan)
+        return (np.abs(gap) if fault == "scan" or not scan else gap), f
+
+    monkeypatch.setattr(tritkd.sweep, "_best_gap", no_sign_change)
+    assert cli.main(["crossover"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {message}\n", captured.err)

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DECIMAL_CONTEXT, decimal_max_gap, reference_best_gap, reference_format_csv
+from oracles import (
+    DECIMAL_CONTEXT,
+    decimal_max_gap,
+    reference_best_gap,
+    reference_find_crossover,
+    reference_format_csv,
+)
 
 import tritkd.sweep
 
@@ -24,7 +30,7 @@ from tritkd.attack import (
     subspace_analysis,
 )
 from tritkd.correlations import CRITICAL_VISIBILITY
-from tritkd.sweep import CSV_COLUMNS, _best_gap, find_crossover, format_csv, sweep_rows
+from tritkd.sweep import CSV_COLUMNS, _best_gap, _bracket, find_crossover, format_csv, sweep_rows
 
 BAD_LOG_BASES = [0.5, 1.0, -2.0, float("inf"), float("nan")]
 
@@ -41,7 +47,11 @@ CSV_EDGE_VALUES = [
     2.0**-13, 0.5, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, True, False,
     math.nextafter(10.0, 0.0), 10.0, -9.99999999999, 0.99999999999, 1.0, 0.1, 1e-5,
     float("nan"), float("inf"), float("-inf"),
+    9.99999999949e-05, 9.9999999995e-06, 1e-14, 9.99999999e-15, -1e-5, -9.99999999949e-05,
 ]
+
+# find_crossover's bracket grid in v; no input changes it
+BRACKET_GRID = np.linspace(0.01, 0.999, 199)
 
 
 def _assert_same_text(text, expected):
@@ -53,6 +63,26 @@ def _one_value_rows(values):
     """Records whose every field, flags included, holds the given value."""
     column = np.asarray(values, dtype=float)
     return np.rec.fromarrays([column] * len(CSV_COLUMNS), names=CSV_COLUMNS)
+
+
+def _fast_path(x):
+    """Where format_csv renders the float array x without '%'."""
+    a, q = np.empty((2,) + x.shape)
+    return tritkd.sweep._fixed_point(x, a, q, np.empty(x.shape, np.intp))[0]
+
+
+def _near_ties(seed, exponents):
+    """Rows of values within a few ulps, and within the tie guard, of a 9-digit rounding
+    boundary, in the decades 10**e for e in the given range, of either sign."""
+    rng = np.random.default_rng(seed)
+    n = 11 * 2000
+    mantissa = rng.integers(10**8, 10**9, n) + 0.5
+    exponent = rng.integers(*exponents, n)
+    tie = mantissa * 10.0 ** (exponent - 8)
+    step = 10.0 ** (exponent - 8) * rng.uniform(-3e-6, 3e-6, n)
+    values = np.concatenate([tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf), tie + step])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    return np.rec.fromarrays(values.reshape(len(CSV_COLUMNS), -1), names=CSV_COLUMNS)
 
 
 def test_sweep_row_invariants():
@@ -124,18 +154,50 @@ def test_format_csv_edge_values(x):
 
 
 def test_format_csv_near_rounding_ties():
-    # values within a few ulps, and within the tie guard, of a 9-digit rounding
-    # boundary in every decade of the fast path and on both sides of it
-    rng = np.random.default_rng(2024)
-    n = 11 * 2000
-    mantissa = rng.integers(10**8, 10**9, n) + 0.5
-    exponent = rng.integers(-6, 3, n)
-    tie = mantissa * 10.0 ** (exponent - 8)
-    step = 10.0 ** (exponent - 8) * rng.uniform(-3e-6, 3e-6, n)
-    values = np.concatenate([tie, np.nextafter(tie, 0.0), np.nextafter(tie, np.inf), tie + step])
-    values *= rng.choice([-1.0, 1.0], values.size)
-    rows = np.rec.fromarrays(values.reshape(len(CSV_COLUMNS), -1), names=CSV_COLUMNS)
+    # every decade of the fixed-point fast path and one on either side of it
+    rows = _near_ties(2024, (-6, 3))
     _assert_same_text(format_csv(rows), reference_format_csv(rows))
+
+
+def test_format_csv_near_rounding_ties_in_exponent_notation():
+    # every decade of the exponent fast path and one on either side of it
+    rows = _near_ties(2025, (-15, -3))
+    _assert_same_text(format_csv(rows), reference_format_csv(rows))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1e-14, 1e-4, exclude_max=True), st.booleans())
+def test_format_csv_exponent_notation_matches_percent_g(x, negative):
+    rows = _one_value_rows([-x if negative else x])
+    text = format_csv(rows)
+    assert text.splitlines()[1] == ",".join(["%.9g" % rows[0].f] * len(CSV_COLUMNS))
+    assert text == reference_format_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "x, text, fast",
+    [
+        (9.99999999949e-05, "0.0001", True),  # the carry leaves exponent notation
+        (9.9999999995e-06, "1e-05", True),  # the carry enters the next decade
+        (-9.87654321e-05, "-9.87654321e-05", True),
+        (-1.5e-07, "-1.5e-07", True),
+        (1e-14, "1e-14", True),
+        (9.99999999e-15, "9.99999999e-15", False),  # 10**23 is not a double
+        (5e-324, "4.94065646e-324", False),
+    ],
+)
+def test_format_csv_exponent_notation_edges(x, text, fast):
+    line = format_csv(_one_value_rows([x])).splitlines()[1]
+    assert line.split(",") == [text] * len(CSV_COLUMNS) == ["%.9g" % x] * len(CSV_COLUMNS)
+    assert _fast_path(np.array([x]))[0] == fast
+
+
+def test_format_csv_fast_path_covers_benchmark_grid():
+    # the attack-analysis benchmark's grid; 0.68 % of its values took '%' before exponent
+    # notation joined the fast path, 17 of 110 000 after
+    rows = sweep_rows(np.linspace(0.004, 1.0, 100), np.linspace(-0.5, 0.995, 100), 3.0)
+    x = np.stack([rows[name] for name in CSV_COLUMNS], axis=1, dtype=float)
+    assert np.count_nonzero(~_fast_path(x)) < 0.005 * x.size
 
 
 @pytest.mark.parametrize("f_range, lam_range, steps, log_base", GOLDEN_GRIDS)
@@ -249,6 +311,42 @@ def test_crossover_reports_how_the_search_ended():
     assert abs(gap - result.gap_residual) <= 1e-15
     # a regression guard for the search's speed that timing noise cannot touch
     assert result.iterations <= 10
+
+
+def test_bracket_scan_signs_match_best_gap():
+    # the one-pass scan's maximum falls short of _best_gap's by far less than |gap|
+    full = _best_gap(BRACKET_GRID)[0]
+    rough = _best_gap(BRACKET_GRID, tritkd.sweep._SCAN_GRID, 0)[0]
+    assert np.array_equal(np.sign(rough), np.sign(full))
+    assert np.min(np.abs(full)) >= 5 * np.max(full - rough)
+
+
+def test_bracket_equals_full_scan():
+    full = _best_gap(BRACKET_GRID)[0]
+    k = np.nonzero((full[:-1] >= 0.0) & (full[1:] < 0.0))[0][-1]
+    lo, hi, g_lo, g_hi = _bracket()
+    assert (lo, hi) == (BRACKET_GRID[k], BRACKET_GRID[k + 1])
+    assert np.array_equal([g_lo, g_hi], full[k : k + 2])
+
+
+@pytest.mark.parametrize("tolerance", [1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("log_base", [2.0, np.e, 3.0])
+def test_crossover_matches_full_scan_reference(tolerance, log_base):
+    assert find_crossover(tolerance, log_base) == reference_find_crossover(tolerance, log_base)
+
+
+def test_crossover_evaluation_budget(monkeypatch):
+    # a guard on the search's work that timing noise cannot touch: bracketing with
+    # _best_gap at all 199 grid points evaluated I_AE at about 67 000 points
+    points = []
+
+    def counted(params, log_base=3.0):
+        points.append(np.broadcast(params.f, params.lam).size)
+        return mutual_info_ae(params, log_base)
+
+    monkeypatch.setattr(tritkd.sweep, "mutual_info_ae", counted)
+    find_crossover(1e-10)
+    assert 0 < sum(points) <= 20_000
 
 
 def test_best_gap_matches_deep_zoom():
