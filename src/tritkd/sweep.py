@@ -119,7 +119,7 @@ def _fixed_point(x, a, q, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = np.multiply(a, np.take(_POW10, k, out=q), out=q)
         k -= s >= 1e9
         k += s < 1e8
-        s = np.multiply(a, np.take(_POW10, k, out=q), out=q)  # in [1e8, 1e9] where k - 8 is -exponent
+        s = np.multiply(a, np.take(_POW10, k, out=q), out=q)  # in [1e8, 1e9] if 8 - k is the exponent
         m = np.rint(s)
         # |s - exact| < 1.2e-7, so away from a tie rint(s) is the correctly rounded mantissa
         untied = np.abs(np.subtract(s, m, out=s), out=s) < 0.5 - 1e-6
@@ -188,10 +188,10 @@ def format_csv(rows, comments=()) -> str:
     shape = (min(len(rows), _CSV_BLOCK), len(CSV_COLUMNS))
     buffers = [np.empty(shape), np.empty(shape + (5,), "<u4"), *np.empty((3,) + shape)]
     buffers.append(np.empty(shape, np.intp))
+    columns = [rows[name] for name in CSV_COLUMNS]
     for start in range(0, len(rows), _CSV_BLOCK):
-        block = rows[start : start + _CSV_BLOCK]
-        x, *scratch = (b[: len(block)] for b in buffers)
-        np.stack([block[name] for name in CSV_COLUMNS], axis=1, out=x)
+        x, *scratch = (b[: len(rows) - start] for b in buffers)
+        np.stack([column[start : start + _CSV_BLOCK] for column in columns], axis=1, out=x)
         parts.append(_render_block(x, *scratch).decode("ascii"))
     return "".join(parts)
 
