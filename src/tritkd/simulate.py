@@ -43,9 +43,9 @@ _GUIDE_SHIFT = 53 - _GUIDE_BITS
 # Shard threads share one process, so their block temporaries add up in its peak.
 _BLOCK_TRIALS = 1 << 16
 
-# Group and slot of each outcome 3a + b.  Eve's guess (group, slot) names Alice's
-# symbol in that pair; Bob's outcome b names _BOB_KEY_TRIT[b], hers in group 0.
-_GROUP_OF_FLAT = np.zeros(9, dtype=np.int8)
+# Group (intp: it indexes Eve's thresholds) and slot of each outcome 3a + b.  Eve's guess (group,
+# slot) names Alice's symbol in that pair; Bob's outcome b names _BOB_KEY_TRIT[b], hers in group 0.
+_GROUP_OF_FLAT = np.zeros(9, dtype=np.intp)
 _SLOT_OF_FLAT = np.zeros(9, dtype=np.int8)
 _EVE_TRIT = np.zeros((3, 3), dtype=np.int8)
 _BOB_KEY_TRIT = np.zeros(3, dtype=np.int8)
@@ -190,15 +190,31 @@ def _guide_table(thresh: np.ndarray, n_buckets: int) -> np.ndarray:
     return guide
 
 
+def _draw(raw: np.ndarray) -> np.ndarray:
+    """raw >> 11 of uint64 Philox words as int64 draws; shifting the int64 view would sign-extend."""
+    return (raw >> 11).view(np.int64)
+
+
 def _lookup(guide: np.ndarray, thresh: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """searchsorted(thresh, key, side="right") as int8: one gather from the guide
-    table, searching only the keys of split buckets.  Bucket numbers are below
-    9 << _GUIDE_BITS < 2**16; uint16 in place of int64 keeps the peak down."""
-    bucket = np.right_shift(key, _GUIDE_SHIFT, out=np.empty(len(key), np.uint16), casting="unsafe")
-    index = guide[bucket]
+    """searchsorted(thresh, key, side="right") as int8: one gather from the guide table by the
+    intp bucket key >> _GUIDE_SHIFT (no index cast), searching only the keys of split buckets."""
+    index = guide[key >> _GUIDE_SHIFT]
     split = np.flatnonzero(index < 0)
     index[split] = np.searchsorted(thresh, key[split], side="right")
     return index
+
+
+def _eve_codes(raw: np.ndarray, s: np.ndarray, cell: np.ndarray, eve_thresh: np.ndarray | None) -> np.ndarray:
+    """A block's int8 Eve codes, 1 + 3 * group + guess on key rounds under attack, else 0."""
+    eve = np.zeros(len(cell), dtype=np.int8)
+    if eve_thresh is not None:
+        key = np.flatnonzero(s == 8)
+        flat = np.remainder(cell[key], 9, dtype=np.intp)
+        group = _GROUP_OF_FLAT[flat]
+        # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
+        step = (_draw(raw[key, 2]) >= eve_thresh[:, group]).sum(0)
+        eve[key] = 1 + 3 * group + (_SLOT_OF_FLAT[flat] + step) % 3
+    return eve
 
 
 def _simulate_shard(
@@ -220,6 +236,8 @@ def _simulate_shard(
     reaches, found with a guide table with a searchsorted fallback; setting
     s offsets its outcome thresholds by s << 53 in one sorted array, so the
     key (s << 53) + draw gives the trial's cell 9 * setting + 3 * a + b.
+    Of a trial's four Philox words only those it reads become draws: words 0
+    and 1 always, word 2 on key rounds under attack, word 3 never.
     """
     set_thresh = _thresholds(cum_settings)
     out_thresh = (
@@ -235,28 +253,19 @@ def _simulate_shard(
     while start < hi:
         stop = min(hi, start + _BLOCK_TRIALS, 10 ** len(str(start)))
         n = stop - start
-        # each trial is one whole Philox block, so consecutive calls continue
-        # the serial stream; k < 2**53 fits int64 exactly
-        k = bit_gen.random_raw(_DRAWS_PER_TRIAL * n).reshape(n, _DRAWS_PER_TRIAL)
-        k = np.right_shift(k, 11, out=k).view(np.int64)
-        s = _lookup(set_guide, set_thresh, k[:, 0])
-        # the outcome key, built in place so the block holds one int64 temporary
-        out_key = s.astype(np.int64)
-        out_key <<= 53
-        out_key += k[:, 1]
+        # one whole Philox block per trial, so consecutive calls continue the serial stream
+        raw = bit_gen.random_raw(_DRAWS_PER_TRIAL * n).reshape(n, _DRAWS_PER_TRIAL)
+        s = _lookup(set_guide, set_thresh, _draw(raw[:, 0]))
+        out_key = np.left_shift(s, 53, dtype=np.int64)
+        out_key += _draw(raw[:, 1])
         cell = _lookup(out_guide, out_thresh, out_key)
         counts += np.bincount(cell, minlength=81)
         if sink is not None:
-            eve = np.zeros(n, dtype=np.int8)
-            if eve_w is not None:
-                key = np.flatnonzero(s == 8)
-                flat = cell[key] % 9
-                group = _GROUP_OF_FLAT[flat]
-                # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
-                eve[key] = 1 + 3 * group + (_SLOT_OF_FLAT[flat] + (k[key, 2] >= eve_thresh[:, group]).sum(0)) % 3
+            eve = _eve_codes(raw, s, cell, eve_thresh)
             sink(start, cell, eve)
-        # freed before the next block is drawn, so the peak is one block's
-        del k, s, out_key, cell
+        # freed before the next block is drawn, so the peak is one block's; eve lives on, since
+        # with all of a sink block free at once malloc trims the heap and refaults it per block
+        del raw, s, out_key, cell
         start = stop
     return counts
 

@@ -547,7 +547,25 @@ def test_write_transcript_memory_does_not_grow_with_trials(tmp_path):
     assert abs(_traced_peak(write, 1 << 21) - _traced_peak(write, 1 << 17)) <= 1 << 20
 
 
+# Absolute per-block peaks at 2**17 trials, measured at 3.18 MiB for run and 4.88-4.95 MiB
+# for write_transcript, plus a margin of 0.8-1.1 MiB up to a whole MiB.  An 8-byte-per-trial
+# temporary alive at the peak adds 0.5 MiB with 2**16-trial blocks.
+@pytest.mark.parametrize("call, bound_mib", [("run", 4), ("write_transcript", 6)])
+def test_block_memory_stays_within_measured_peak(call, bound_mib, tmp_path):
+    if call == "run":
+        target = run
+    else:
+        def target(config):
+            write_transcript(config, tmp_path / "transcript.tsv")
+
+    _traced_peak(target, 1 << 10)  # one-time set-up outside the measurement
+    assert _traced_peak(target, 1 << 17) <= bound_mib << 20
+
+
 ONLY_TEST = (0.25, 0.25, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
+# Every cumulative weight on a guide-bucket edge (a multiple of 2**-12), so no
+# setting bucket is split, and four pairs of weight 0.
+DYADIC = (0.5, 0.25, 0.125, 0.0625, 0.0625, 0.0, 0.0, 0.0, 0.0)
 
 # Neither -1 nor a trit, so a shard that leaves any value of its slice to the
 # caller, or writes outside it, shows.
@@ -593,8 +611,9 @@ def _shard_columns(config, lo, hi, tables):
         (AttackParams(f=1.0, lam=1.0), None),
         (AttackParams(f=0.5, lam=-0.5), None),
         (AttackParams(f=0.9, lam=0.8), ONLY_TEST),
+        (AttackParams(f=0.9, lam=0.8), DYADIC),
     ],
-    ids=["honest", "attack", "undisturbed", "lam-edge", "only-test"],
+    ids=["honest", "attack", "undisturbed", "lam-edge", "only-test", "dyadic"],
 )
 def test_blocked_shard_matches_reference(attack, weights, monkeypatch):
     config = SimConfig(trials=200, seed=31, attack=attack, setting_weights=weights)
@@ -693,6 +712,24 @@ def test_sampler_exact_when_draws_hit_thresholds(monkeypatch):
             got = _shard_columns(config, lo, hi, tables)
             for column, ref in zip(got, expected):
                 assert np.array_equal(column, ref[lo:hi])
+
+
+def test_sampler_exact_when_draws_sit_on_bucket_edges(monkeypatch):
+    # dyadic tables whose thresholds are the guide-bucket edges just below the
+    # run's own draws: those draws land in unsplit buckets that start on a
+    # threshold, which random draws on a dyadic table almost never reach
+    config = SimConfig(trials=40, seed=6, attack=AttackParams(f=0.9, lam=0.8))
+    u = Generator(Philox(key=config.seed)).random((config.trials, 4))
+    edges = np.floor(u[:8, :2] * (1 << _GUIDE_BITS)) / (1 << _GUIDE_BITS)
+    cum_settings = np.append(np.sort(edges[:, 0]), 1.0)
+    cum_tables = np.tile(np.append(np.sort(edges[:, 1]), 1.0), (9, 1))
+    tables = (cum_settings, cum_tables, np.full(3, 0.5))
+    assert not (_guide_table(_thresholds(cum_settings), 1 << _GUIDE_BITS) < 0).any()
+    monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
+    expected = reference_shard(config, 0, config.trials, *tables)
+    for lo, hi in [(0, 40), (2, 9), (5, 33)]:
+        for column, ref in zip(_shard_columns(config, lo, hi, tables), expected):
+            assert np.array_equal(column, ref[lo:hi])
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
