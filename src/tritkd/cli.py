@@ -1,6 +1,8 @@
 """Command-line interface: bell report, parameter sweep, crossover, simulation.
 
-Exit codes: 0 on success, 1 on runtime/IO failure, 2 on usage errors.
+Commands raise; main alone maps exceptions to exit codes: 2 with a usage message
+on ValueError (bad input, found here or in the library), 1 with `error: ...` on
+OSError, RuntimeError or MemoryError, 0 on success.  Anything else propagates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .simulate import SimConfig, run, summary_dict, write_summary, write_transcr
 from .sweep import find_crossover, format_csv, sweep_rows
 
 
-def _finite(text: str) -> float:
+def _finite(text: str) -> float:  # for the sweep ranges: NaN would pass _clip_range's comparisons
     value = float(text)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
@@ -51,17 +53,11 @@ def _parse_settings(text: str):
     return tuple(vecs[:3]), tuple(vecs[3:])
 
 
-def cmd_bell(args, parser) -> int:
-    if args.settings is None:
-        alice, bob = standard_settings()
-    else:
-        try:
-            alice, bob = _parse_settings(args.settings)
-        except ValueError as exc:
-            parser.error(str(exc))
-    v = args.visibility
+def cmd_bell(args) -> int:
+    alice, bob = standard_settings() if args.settings is None else _parse_settings(args.settings)
+    v = args.visibility  # NaN fails both comparisons
     if not LAM_DOMAIN[0] <= v <= LAM_DOMAIN[1]:
-        parser.error(f"--visibility must be in [-0.5, 1], the range of v = f*lam, got {v:g}")
+        raise ValueError(f"--visibility must be in [-0.5, 1], the range of v = f*lam, got {v:g}")
 
     q = {
         (k, l): v * correlation_q_closed(alice[k - 1], bob[l - 1])
@@ -76,29 +72,26 @@ def cmd_bell(args, parser) -> int:
     return 0
 
 
-def _clip_range(lo: float, hi: float, domain: tuple[float, float], name: str, parser, notes):
+def _clip_range(lo: float, hi: float, domain: tuple[float, float], name: str, notes):
     if lo > hi:
-        parser.error(f"{name} range is empty: [{lo}, {hi}]")
+        raise ValueError(f"{name} range is empty: [{lo}, {hi}]")
     if hi < domain[0] or lo > domain[1]:
-        parser.error(f"{name} range [{lo}, {hi}] lies outside the feasible domain {list(domain)}")
+        raise ValueError(f"{name} range [{lo}, {hi}] lies outside the feasible domain {list(domain)}")
     clo, chi = max(lo, domain[0]), min(hi, domain[1])
     if (clo, chi) != (lo, hi):
         notes.append(f"clipped {name} range from [{lo:.9g}, {hi:.9g}] to [{clo:.9g}, {chi:.9g}]")
     return clo, chi
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args) -> int:
     notes = []
-    f_lo, f_hi = _clip_range(args.f_min, args.f_max, F_DOMAIN, "f", parser, notes)
-    l_lo, l_hi = _clip_range(args.lam_min, args.lam_max, LAM_DOMAIN, "lam", parser, notes)
-    if args.steps < 1:
-        parser.error("steps must be >= 1")
+    f_lo, f_hi = _clip_range(args.f_min, args.f_max, F_DOMAIN, "f", notes)
+    l_lo, l_hi = _clip_range(args.lam_min, args.lam_max, LAM_DOMAIN, "lam", notes)
+    if not 1 <= args.steps < 2**30:  # beyond, a steps x steps float grid exceeds numpy's 2**63-byte limit
+        raise ValueError(f"--steps must be >= 1 and below 2**30, got {args.steps}")
 
     f_values, lam_values = np.linspace(f_lo, f_hi, args.steps), np.linspace(l_lo, l_hi, args.steps)
-    try:
-        rows = sweep_rows(f_values, lam_values, log_base=args.log_base)
-    except ValueError as exc:  # the log base
-        parser.error(str(exc))
+    rows = sweep_rows(f_values, lam_values, log_base=args.log_base)
     comments = [
         f"attack sweep: {args.steps}x{args.steps} grid, f in [{f_lo:.9g}, {f_hi:.9g}], "
         f"lam in [{l_lo:.9g}, {l_hi:.9g}], log base {args.log_base:.9g}",
@@ -109,37 +102,22 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_crossover(args, parser) -> int:
-    try:
-        result = find_crossover(tolerance=args.tolerance, log_base=args.log_base)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except RuntimeError as exc:  # no bracket: the search has nothing to report
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_crossover(args) -> int:
+    result = find_crossover(tolerance=args.tolerance, log_base=args.log_base)
     print(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True))
     return 0
 
 
-def cmd_simulate(args, parser) -> int:
+def cmd_simulate(args) -> int:
     if args.honest == (args.f is not None or args.lam is not None):
-        parser.error("choose either --honest or both --f and --lam")
-    attack = None
-    if not args.honest:
-        if args.f is None or args.lam is None:
-            parser.error("attack source needs both --f and --lam")
-        try:
-            attack = AttackParams(f=args.f, lam=args.lam)
-        except ValueError as exc:
-            parser.error(str(exc))
-
+        raise ValueError("choose either --honest or both --f and --lam")
+    if not args.honest and (args.f is None or args.lam is None):
+        raise ValueError("attack source needs both --f and --lam")
     if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    try:
-        weights = None if args.weights is None else tuple(float(p) for p in args.weights.split(","))
-        config = SimConfig(trials=args.trials, seed=args.seed, attack=attack, setting_weights=weights)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--workers must be >= 1")
+    attack = None if args.honest else AttackParams(f=args.f, lam=args.lam)
+    weights = None if args.weights is None else tuple(float(p) for p in args.weights.split(","))
+    config = SimConfig(trials=args.trials, seed=args.seed, attack=attack, setting_weights=weights)
 
     if args.out is None:
         transcript = run(config, workers=args.workers)
@@ -166,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="six semicolon-separated phase triples A1;A2;A3;B1;B2;B3 (radians)",
     )
-    p_bell.add_argument("--visibility", type=_finite, default=1.0, help="scale all correlations")
+    p_bell.add_argument("--visibility", type=float, default=1.0, help="scale all correlations")
 
     p_sweep = sub.add_parser("sweep", help="write a CSV grid over the attack plane")
     p_sweep.add_argument("--f-min", type=_finite, default=0.0)
@@ -174,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lam-min", type=_finite, default=-0.5)
     p_sweep.add_argument("--lam-max", type=_finite, default=1.0)
     p_sweep.add_argument("--steps", type=int, default=50, help="points per axis")
-    p_sweep.add_argument("--log-base", type=_finite, default=3.0)
+    p_sweep.add_argument("--log-base", type=float, default=3.0)
     p_sweep.add_argument("--out", type=str, required=True, help="output CSV path")
 
     p_cross = sub.add_parser("crossover", help="largest visibility with I_AE >= I_AB")
     p_cross.add_argument("--tolerance", type=float, default=1e-6)
-    p_cross.add_argument("--log-base", type=_finite, default=3.0)
+    p_cross.add_argument("--log-base", type=float, default=3.0)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo protocol")
     p_sim.add_argument("--trials", type=int, required=True)
@@ -208,15 +186,15 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
-        return commands[args.command](args, parser)
-    except OSError as exc:
+        return commands[args.command](args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:
-        size = {"simulate": "--trials", "sweep": "--steps"}.get(args.command)
-        hint = f" (try fewer {size})" if size else ""
+        hint = " (try fewer --steps)" if args.command == "sweep" else ""
         print(f"error: out of memory{hint}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

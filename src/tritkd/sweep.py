@@ -77,6 +77,7 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
     One record per grid point, with the fields named by CSV_COLUMNS; bell_violated and secure
     are booleans, the rest floats.  A log_base that is not finite and > 1 raises ValueError.
     """
+    _check_log_base(log_base)  # before the grid is built, not after its closed forms
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
     params = AttackParams(f=f.ravel(), lam=lam.ravel())
     v = params.visibility

@@ -107,6 +107,18 @@ def test_trials_beyond_int64_is_usage_error(trials):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("steps", [str(2**62), str(2**63), "100000000000000000000"])
+def test_steps_beyond_addressable_grid_is_usage_error(steps, tmp_path):
+    # numpy cannot index a steps x steps grid this large; the sweep must not start
+    out = tmp_path / "x.csv"
+    result = tritkd("sweep", "--steps", steps, "--out", str(out))
+    assert result.returncode == 2
+    assert "error: --steps must be >= 1 and below 2**30" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert not out.exists()
+
+
 def _outside(lo, hi):
     """Floats, infinities included, below lo or above hi."""
     return st.floats(max_value=lo, exclude_max=True) | st.floats(min_value=hi, exclude_min=True)
@@ -421,6 +433,42 @@ def test_simulate_unwritable_out_is_io_error(tmp_path):
     assert result.returncode == 1
 
 
+# The argv of a command that reaches each library call; a trailing --out takes a path.
+_ENTRY_POINTS = {
+    "sweep_rows": ["sweep", "--steps=2", "--out"],
+    "format_csv": ["sweep", "--steps=2", "--out"],
+    "find_crossover": ["crossover"],
+    "run": [*_SIMULATE, "--honest"],
+    "write_transcript": [*_SIMULATE, "--honest", "--out"],
+}
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError, OSError])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_main_maps_exceptions_to_exit_codes(monkeypatch, capsys, tmp_path, entry, error):
+    # ValueError is a usage error, exit 2; RuntimeError and OSError exit 1
+    def fail(*args, **kwargs):
+        raise error("x")
+
+    monkeypatch.setattr(cli, entry, fail)
+    argv = _ENTRY_POINTS[entry]
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "out")]
+    if error is ValueError:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    else:
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if error is ValueError:
+        assert captured.err.endswith("\ntritkd: error: x\n")
+    else:
+        assert captured.err == "error: x\n"
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
 def test_simulate_out_of_memory_is_runtime_error(monkeypatch, capsys):
     import tritkd.cli
 
@@ -431,7 +479,7 @@ def test_simulate_out_of_memory_is_runtime_error(monkeypatch, capsys):
     assert tritkd.cli.main(["simulate", "--trials", "10", "--seed", "1", "--honest"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: out of memory (try fewer --trials)\n"
+    assert captured.err == "error: out of memory\n"
 
 
 def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys, tmp_path):
@@ -447,14 +495,14 @@ def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys, tmp_path):
     assert tritkd.cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: out of memory (try fewer --trials)\n"
+    assert captured.err == "error: out of memory\n"
 
     # with --out the failed run leaves no transcript behind
     out = tmp_path / "run"
     assert tritkd.cli.main([*argv, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: out of memory (try fewer --trials)\n"
+    assert captured.err == "error: out of memory\n"
     assert not (out / "transcript.tsv").exists()
 
 
