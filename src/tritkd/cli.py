@@ -122,10 +122,18 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         transcript = run(config, workers=args.workers)
     else:
-        out_dir = Path(args.out)
+        out_dir, transcript = Path(args.out), None
+        made = not out_dir.exists()
         out_dir.mkdir(parents=True, exist_ok=True)
-        transcript = write_transcript(config, out_dir / "transcript.tsv", workers=args.workers)
-        write_summary(config, transcript, out_dir / "summary.json")
+        try:
+            transcript = write_transcript(config, out_dir / "transcript.tsv", workers=args.workers)
+            write_summary(config, transcript, out_dir / "summary.json")
+        except BaseException:  # leave nothing new; a failed write_transcript removes its own file
+            if transcript is not None:
+                (out_dir / "transcript.tsv").unlink()
+            if made and not any(out_dir.iterdir()):
+                out_dir.rmdir()
+            raise
     print(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True))
     return 0
 

@@ -14,8 +14,8 @@ import functools
 import json
 import operator
 import os
+import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,12 +313,24 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     n_shards = min(workers, os.cpu_count() or 1, config.trials)
     # integer bounds: a float cut loses trials beyond 2**53
     bounds = [config.trials * i // n_shards for i in range(n_shards + 1)]
-    shards = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(max_workers=n_shards) as pool:
-        futures = [
-            pool.submit(_simulate_shard, config, lo, hi, *tables, sink) for lo, hi in shards
-        ]
-        counts = sum(future.result() for future in futures).reshape(9, 3, 3)
+    counts, failures = [], []
+
+    def shard(lo, hi):
+        try:
+            counts.append(_simulate_shard(config, lo, hi, *tables, sink))
+        except BaseException as exc:  # raised in the caller, once every shard has stopped
+            failures.append(exc)
+
+    threads = [threading.Thread(target=shard, args=lo_hi) for lo_hi in zip(bounds[:-1], bounds[1:])]
+    try:
+        for thread in threads:
+            thread.start()
+    finally:  # an unstarted thread is not alive; write_transcript unlinks only after the last write
+        for thread in filter(threading.Thread.is_alive, threads):
+            thread.join()
+    if failures:
+        raise failures[0]
+    counts = sum(counts).reshape(9, 3, 3)
 
     s_estimate, s_std_error = bell_from_counts(counts)
     n_key = int(counts[8].sum())

@@ -40,18 +40,15 @@ _CSV_BLOCK = 1024
 # Powers of ten, exact as doubles up to 10**22; the larger ones only scale values left to '%'.
 _POW10 = np.array([float(10**k) for k in range(25)])
 
-# Contour maximisation: a first scan of _GRID points in f guards against a second
-# maximum; each zoom rescans the best point's two cells at _ZOOM_GRID points,
-# dividing the spacing by (_ZOOM_GRID - 1)/2, until it is below _F_SPACING.  The
-# best point then misses the peak by at most 1/2 |g''| (spacing/2)^2: with
-# |d2 gap/df2| ~ 21 on the crossover contour, ~7e-17 nats at the final spacing
-# of 5e-9, below the rounding of the gap.  The search's step budget follows.
+# Contour maximisation: a first scan of _GRID points in f guards against a second maximum; each
+# zoom rescans the best point's two cells at _GRID points, dividing the spacing by 100, until it
+# is below _F_SPACING: from at most 0.99/200, three zooms, four passes.  The best point then
+# misses the peak by at most 1/2 |g''| (spacing/2)^2: with |d2 gap/df2| ~ 21 on the crossover
+# contour, ~7e-17 nats at the final spacing of 5e-9, below the rounding of the gap.
 _GRID = 201
-_ZOOM_GRID = 21
 _F_SPACING = 1e-8
-_ZOOMS = math.ceil(math.log(1.0 / (_GRID - 1) / _F_SPACING, (_ZOOM_GRID - 1) / 2))
+_ZOOMS = math.ceil(math.log(1.0 / (_GRID - 1) / _F_SPACING, (_GRID - 1) / 2))
 _STEPS = 200
-_MIDPOINT_EVERY = 4  # so the bracket at least halves every few steps
 # find_crossover's bracket scan: on its fixed v grid a one-pass _SCAN_GRID-point maximum falls
 # at most 5.3e-4 nats short of _best_gap, while |gap| >= 3.6e-3, so their signs agree.
 _SCAN_GRID = 51
@@ -143,10 +140,11 @@ def _render_block(x, words, a, q, c, k) -> bytes:
 
     Each value is a record of five "<u4" words, NUL padded: sign, integer digit and '.', three
     chunks of four decimals (or two and an exponent), separator; values off the fast path fill
-    the first four from '%', space padded.  NULs and spaces are dropped once.  words, a, q, c
-    and k are scratch of x's shape (words with 5 more), reused from block to block.
+    the first four from '%', space padded.  NULs and spaces are dropped once.  words holds a
+    row's records, x's first; the caller sets the separators and any records after x's.
     """
     heads, chunks = _csv_tables()
+    records = words[:, : x.shape[1]]
     fast, expo, n = _fixed_point(x, a, q, k)
     q[np.signbit(x)] += 2e13  # a minus sign as 20 more integer digits, as heads has it
     # q, its chunks and their quotients are integers below 2**53, exact in float64,
@@ -157,18 +155,16 @@ def _render_block(x, words, a, q, c, k) -> bytes:
         # '.' after the digit, and a chunk's trailing zeros, where a nonzero decimal follows
         np.add(c, more, out=c, where=q > 0)
         k[...] = c
-        words[..., word] = table[k]
+        records[..., word] = table[k]
     k[...] = q
-    words[..., 3] = chunks[k]
-    words[..., 3][expo] = chunks[2 * 10**4 + n]
-    words[..., 4] = ord(",")
-    words[..., -1, 4] = ord("\n")
-    slow = np.flatnonzero(~fast)
-    if slow.size:
+    records[..., 3] = chunks[k]
+    records[..., 3][expo] = chunks[2 * 10**4 + n]
+    row, column = np.nonzero(~fast)
+    if row.size:
         # '%.9g' of a double has at most 16 characters, so '%-16.9g' pads each to 16
-        values = x.ravel()[slow].tolist()
+        values = x[row, column].tolist()
         text = ("%-16.9g" * len(values)) % tuple(values)
-        words.reshape(-1, 5)[slow, :4] = np.frombuffer(text.encode("ascii"), "<u4").reshape(-1, 4)
+        records[row, column, :4] = np.frombuffer(text.encode("ascii"), "<u4").reshape(-1, 4)
     return words.tobytes().translate(None, b"\0 ")
 
 
@@ -185,34 +181,38 @@ def format_csv(rows, comments=()) -> str:
             raise ValueError(f"a comment cannot contain a line break, got {comment!r}")
     parts = [f"# {c}\n" for c in comments]
     parts.append(",".join(CSV_COLUMNS) + "\n")
-    # one block's arrays, allocated once, so that later blocks do not fault their pages in again
-    shape = (min(len(rows), _CSV_BLOCK), len(CSV_COLUMNS))
-    buffers = [np.empty(shape), np.empty(shape + (5,), "<u4"), *np.empty((3,) + shape)]
-    buffers.append(np.empty(shape, np.intp))
     columns = [rows[name] for name in CSV_COLUMNS]
+    # boolean columns after the last float one skip the digit passes: a digit word each
+    n_x = 1 + max((i for i, column in enumerate(columns) if column.dtype != bool), default=0)
+    # one block's arrays, allocated once, so that later blocks do not fault their pages in again
+    shape = (min(len(rows), _CSV_BLOCK), len(columns))
+    words = np.zeros(shape + (5,), "<u4")
+    words[..., 4], words[:, -1, 4] = ord(","), ord("\n")
+    buffers = [np.empty(shape), words, *np.empty((3, shape[0], n_x)), np.empty((shape[0], n_x), np.intp)]
     for start in range(0, len(rows), _CSV_BLOCK):
-        x, *scratch = (b[: len(rows) - start] for b in buffers)
+        x, words, *scratch = (b[: len(rows) - start] for b in buffers)
         np.stack([column[start : start + _CSV_BLOCK] for column in columns], axis=1, out=x)
-        parts.append(_render_block(x, *scratch).decode("ascii"))
+        words[:, n_x:, 0] = x[:, n_x:] + ord("0")
+        parts.append(_render_block(x[:, :n_x], words, *scratch).decode("ascii"))
     return "".join(parts)
 
 
 def _best_gap(v, grid: int = _GRID, zooms: int = _ZOOMS) -> tuple[np.ndarray, np.ndarray]:
     """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, vectorised over v.
 
-    A grid in f is zoomed onto the neighbours of its best point, first at grid points, then
-    zooms times at _ZOOM_GRID.  I_AB depends on v alone: it is evaluated once, outside.
+    A grid of grid points in f is zoomed zooms times onto its best point's neighbours; I_AB,
+    a function of v alone, is evaluated once, outside.
     """
     v = np.asarray(v, dtype=float)
     i_ab = mutual_info_ab(AttackParams(f=1.0, lam=v), np.e)
     lo = np.maximum(v, 1e-9)  # lam = v/f must stay <= 1
     hi = np.ones_like(lo)
-    for n in (grid,) + (_ZOOM_GRID,) * zooms:
-        f = np.linspace(lo, hi, n, axis=-1)
+    for _ in range(zooms + 1):
+        f = np.linspace(lo, hi, grid, axis=-1)
         i_ae = mutual_info_ae(AttackParams(f=f, lam=v[..., None] / f), np.e)
         i = np.argmax(i_ae, axis=-1)[..., None]
         lo = np.take_along_axis(f, np.maximum(i - 1, 0), axis=-1)[..., 0]
-        hi = np.take_along_axis(f, np.minimum(i + 1, n - 1), axis=-1)[..., 0]
+        hi = np.take_along_axis(f, np.minimum(i + 1, grid - 1), axis=-1)[..., 0]
     return np.take_along_axis(i_ae, i, axis=-1)[..., 0] - i_ab, np.take_along_axis(f, i, axis=-1)[..., 0]
 
 
@@ -220,13 +220,11 @@ def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverR
     """Largest visibility v = f*lam at which I_AE can still reach I_AB.
 
     A coarse scan over v (_bracket) brackets the last sign change of the contour-maximized
-    information gap.  Illinois false position, with a midpoint where the secant
-    point leaves the bracket and on every _MIDPOINT_EVERY-th step, keeps
-    gap(lo) >= 0 > gap(hi) until the bracket is narrower than tolerance and the
-    gap at the result is within tolerance (in the given log base; the location
-    is base-independent).  Raises ValueError for a tolerance that is not finite
-    and positive or that the search cannot reach, or a log_base not finite and > 1,
-    and RuntimeError where _bracket finds no sign change.
+    information gap; each step evaluates two points that straddle the predicted root and keeps
+    gap(lo) >= 0 > gap(hi), until the bracket is narrower than tolerance and the gap at the
+    result is within tolerance (in the given log base; the location is base-independent).
+    Raises ValueError for a tolerance that is not finite and positive or that the search cannot
+    reach, or a log_base not finite and > 1, and RuntimeError where _bracket finds no sign change.
     """
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
@@ -252,23 +250,29 @@ def _bracket() -> tuple[float, float, float, float]:
 def _false_position(lo, hi, g_lo, g_hi, tolerance, log_base) -> CrossoverResult:
     """find_crossover's search from a bracket with gap(lo) = g_lo >= 0 > g_hi = gap(hi)."""
     scale = 1.0 / math.log(log_base)
-    kept = 0  # +1 if the last step kept hi, -1 if it kept lo
+    ends = [(lo, g_lo, None), (hi, g_hi, None)]  # (v, gap, argmax f), f known once a step sets the end
+    third, width = None, math.inf  # the end last replaced; the bracket's width a step ago
     for step in range(1, _STEPS + 1):
-        mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if step % _MIDPOINT_EVERY == 0 or not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        gap, f_star = (float(x) for x in _best_gap(mid))
-        # Illinois: an end kept twice running has its gap halved
-        if gap >= 0.0:
-            g_hi *= 0.5 if kept > 0 else 1.0
-            lo, g_lo, kept = mid, gap, 1
-        else:
-            g_lo *= 0.5 if kept < 0 else 1.0
-            hi, g_hi, kept = mid, gap, -1
-        if hi - lo < tolerance and abs(gap) * scale <= tolerance:
+        (lo, g_lo, _), (hi, g_hi, _) = ends
+        slope = (g_hi - g_lo) / (hi - lo)
+        centre, half = hi - g_hi / slope, (hi - lo) / 64  # a first step has no curvature to go by
+        if third is not None:  # the secant point's error, from the curvature through the third point
+            curvature = ((third[1] - g_lo) / (third[0] - lo) - slope) / (third[0] - hi)
+            error = curvature * (centre - lo) * (centre - hi) / slope
+            centre, half = centre - error, abs(error)
+        if hi - lo > 0.5 * width:  # the last step did not halve the bracket
+            centre = 0.5 * (lo + hi)
+        half, width = max(half, 4.0 * math.ulp(centre)), hi - lo  # beyond the rounding of the root
+        # both sides of the predicted root in one call; a point outside the bracket is its midpoint
+        points = sorted(x if lo < x < hi else 0.5 * (lo + hi) for x in (centre - half, centre + half))
+        for v, gap, f_star in zip(points, *(x.tolist() for x in _best_gap(np.array(points)))):
+            if ends[0][0] < v < ends[1][0]:
+                third, ends[gap < 0.0] = ends[gap < 0.0], (v, gap, f_star)
+        v, gap, f_star = min((e for e in ends if e[2] is not None), key=lambda e: abs(e[1]))
+        if ends[1][0] - ends[0][0] < tolerance and abs(gap) * scale <= tolerance:
             break
     else:
-        raise ValueError(f"tolerance {tolerance!r} not reached in {_STEPS} false-position steps")
+        raise ValueError(f"tolerance {tolerance!r} not reached in {_STEPS} search steps")
 
-    return CrossoverResult(v_max=mid, argmax_f=f_star, argmax_lam=mid / f_star, tolerance=tolerance,
-                           iterations=step, bracket=hi - lo, gap_residual=gap * scale)
+    return CrossoverResult(v_max=v, argmax_f=f_star, argmax_lam=v / f_star, tolerance=tolerance,
+                           iterations=step, bracket=ends[1][0] - ends[0][0], gap_residual=gap * scale)

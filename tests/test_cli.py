@@ -191,8 +191,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_does_not_load_process_machinery():
-    # shards run on threads; process machinery would only add to every start-up
-    names = ("multiprocessing", "concurrent.futures.process")
+    # shards run on plain threads; a pool or process machinery would only add to every start-up
+    names = ("multiprocessing", "concurrent.futures.process", "concurrent.futures", "logging")
     code = f"import sys, tritkd, tritkd.cli; print([m for m in {names!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0
@@ -483,7 +483,7 @@ def test_simulate_out_of_memory_is_runtime_error(monkeypatch, capsys):
 
 
 def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys, tmp_path):
-    # through the real thread pool: the shard's exception reaches main
+    # through the real shard threads: the shard's exception reaches main
     import tritkd.cli
     import tritkd.simulate
 
@@ -504,6 +504,31 @@ def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys, tmp_path):
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
     assert not (out / "transcript.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "fault, existed",
+    [("summary-is-dir", True), ("summary", False), ("transcript", False), ("transcript", True)],
+)
+def test_failed_simulate_out_leaves_nothing_new(monkeypatch, capsys, tmp_path, fault, existed):
+    # a failed summary write used to leave the finished transcript behind, and a failed
+    # transcript write the empty --out directory that this call made; one that existed stays
+    def fail(*args, **kwargs):
+        raise OSError("x")
+
+    out = tmp_path / "run"
+    if existed:
+        out.mkdir()
+    if fault == "summary-is-dir":
+        (out / "summary.json").mkdir()
+    else:
+        monkeypatch.setattr(cli, f"write_{fault}", fail)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_simulate_out_without_pwrite_is_io_error(monkeypatch, capsys, tmp_path):

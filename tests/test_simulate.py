@@ -166,6 +166,30 @@ def test_threads_bounded_by_cpu_count(monkeypatch, tmp_path):
     assert _transcripts_equal(serial, written)
 
 
+def test_failing_shard_is_raised_after_every_shard_stops(monkeypatch, tmp_path):
+    # one shard of a two-worker transcript raises at once: the caller gets that exception only
+    # after the other shard has written all of its blocks, and then no transcript is left
+    failure = RuntimeError("shard failed")
+    finished = []
+    shard = tritkd.simulate._simulate_shard
+
+    def second_shard_fails(config, lo, hi, *rest):
+        if lo > 0:
+            raise failure
+        counts = shard(config, lo, hi, *rest)
+        finished.append((lo, hi))
+        return counts
+
+    monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tritkd.simulate, "_simulate_shard", second_shard_fails)
+    path = tmp_path / "transcript.tsv"
+    with pytest.raises(RuntimeError) as caught:
+        write_transcript(SimConfig(trials=400_000, seed=3), path, workers=2)
+    assert caught.value is failure
+    assert finished == [(0, 200_000)]
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("trials", [3, 7, 2**53 + 1, 2**60 + 1, 2**63 - 1])
 def test_shards_cover_every_trial(trials, monkeypatch):
     # shards recorded, not run; bounds cut in floats lose trials above 2**53

@@ -236,6 +236,35 @@ def test_format_csv_memory_is_bounded_by_blocks():
     assert peak <= 3.5 * len(text)
 
 
+def _rows_with_flags(flags, seed=19):
+    """Records of random floats, with the given two arrays as the flag columns."""
+    rng = np.random.default_rng(seed)
+    values = [rng.uniform(-2.0, 2.0, len(flags[0])) for _ in CSV_COLUMNS[:-2]]
+    return np.rec.fromarrays([*values, *flags], names=CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("dtypes", [(bool, bool), (float, float), (bool, float), (float, bool)])
+def test_format_csv_bool_flags_match_float_flags(dtypes):
+    # boolean flags skip the digit passes; as floats 0.0 and 1.0 they take them; either way,
+    # and mixed, the text is the same, also where the flags flip across both block boundaries
+    block = tritkd.sweep._CSV_BLOCK
+    i = np.arange(2 * block + 3)
+    flags = [i % 2 == 0, i % 3 != 1]
+    for edge in (block, 2 * block):
+        assert all(flag[edge - 1] != flag[edge] for flag in flags)
+    text = format_csv(_rows_with_flags([flag.astype(dtype) for flag, dtype in zip(flags, dtypes)]))
+    assert text == format_csv(_rows_with_flags(flags))
+    _assert_same_text(text, reference_format_csv(_rows_with_flags(flags)))
+
+
+def test_format_csv_float_valued_flags_render_as_percent_g():
+    bell = np.array([0.5, np.nan, np.inf, -0.0, 2.0, 1e-20])
+    rows = _rows_with_flags([bell, np.array([1.0, 0.0, -1.0, 0.25, np.nan, 3.0])])
+    text = format_csv(rows)
+    assert text.splitlines()[1].endswith(",0.5,1")
+    _assert_same_text(text, reference_format_csv(rows))
+
+
 @pytest.mark.parametrize("comment", ["a\nb", "a\rb", "\r\n"])
 def test_format_csv_rejects_line_breaks_in_comments(comment):
     # "a\nb" used to put a data line "b" above the header
@@ -351,6 +380,28 @@ def test_crossover_evaluation_budget(monkeypatch):
 
 def test_best_gap_matches_deep_zoom():
     vs = np.linspace(0.01, 0.999, 199)
+    gap, _ = _best_gap(vs)
+    deep, _ = reference_best_gap(vs)
+    assert np.array_equal(np.sign(gap), np.sign(deep))
+    assert np.max(np.abs(gap - deep)) <= 1e-14
+
+
+def test_crossover_closed_form_call_budget(monkeypatch):
+    # a guard on the search's numpy-call overhead that timing noise cannot touch: each call of
+    # I_AE is one pass over a grid; the search made 43 with seven passes a contour, one v a step
+    calls = []
+
+    def counted(params, log_base=3.0):
+        calls.append(params)
+        return mutual_info_ae(params, log_base)
+
+    monkeypatch.setattr(tritkd.sweep, "mutual_info_ae", counted)
+    find_crossover(1e-10)
+    assert 0 < len(calls) <= 25
+
+
+def test_best_gap_matches_deep_zoom_at_random_visibilities():
+    vs = np.random.default_rng(2024).uniform(0.01, 0.999, 200)
     gap, _ = _best_gap(vs)
     deep, _ = reference_best_gap(vs)
     assert np.array_equal(np.sign(gap), np.sign(deep))
