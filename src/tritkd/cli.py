@@ -2,7 +2,8 @@
 
 Commands raise; main alone maps exceptions to exit codes: 2 with a usage message
 on ValueError (bad input, found here or in the library), 1 with `error: ...` on
-OSError, RuntimeError or MemoryError, 0 on success.  Anything else propagates.
+OSError, RuntimeError or MemoryError, 0 on success.  Anything else propagates,
+RecursionError and NotImplementedError too: they are RuntimeErrors, but bugs.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def cmd_simulate(args) -> int:
         transcript = run(config, workers=args.workers)
     else:
         out_dir, transcript = Path(args.out), None
-        made = not out_dir.exists()
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
             transcript = write_transcript(config, out_dir / "transcript.tsv", workers=args.workers)
@@ -131,8 +132,10 @@ def cmd_simulate(args) -> int:
         except BaseException:  # leave nothing new; a failed write_transcript removes its own file
             if transcript is not None:
                 (out_dir / "transcript.tsv").unlink()
-            if made and not any(out_dir.iterdir()):
-                out_dir.rmdir()
+            for made_dir in made:
+                if any(made_dir.iterdir()):
+                    break
+                made_dir.rmdir()
             raise
     print(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True))
     return 0
@@ -197,6 +200,8 @@ def main(argv=None) -> int:
         return commands[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
+    except (RecursionError, NotImplementedError):
+        raise  # RuntimeErrors that mark a bug in the program, not a failed run
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:

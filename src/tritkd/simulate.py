@@ -19,7 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
 
 from .attack import SUBSPACE_PAIRS, AttackParams, subspace_analysis
 from .attack import transformed_tripartite  # noqa: F401 -- perfbench/spans.py wraps it on this module
@@ -45,15 +44,18 @@ _BLOCK_TRIALS = 1 << 16
 
 # Group (intp: it indexes Eve's thresholds) and slot of each outcome 3a + b.  Eve's guess (group,
 # slot) names Alice's symbol in that pair; Bob's outcome b names _BOB_KEY_TRIT[b], hers in group 0.
+# _EVE_CODE[3 * (3a + b) + step] is the Eve code 1 + 3 * group + guess of a guess step slots past it.
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.intp)
 _SLOT_OF_FLAT = np.zeros(9, dtype=np.int8)
 _EVE_TRIT = np.zeros((3, 3), dtype=np.int8)
 _BOB_KEY_TRIT = np.zeros(3, dtype=np.int8)
+_EVE_CODE = np.zeros(27, dtype=np.int8)
 for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
     for _slot, (_a, _b) in enumerate(_pairs):
         _GROUP_OF_FLAT[3 * _a + _b] = _grp
         _SLOT_OF_FLAT[3 * _a + _b] = _slot
         _EVE_TRIT[_grp, _slot] = _a
+        _EVE_CODE[9 * _a + 3 * _b : 9 * _a + 3 * _b + 3] = 1 + 3 * _grp + (_slot + np.arange(3)) % 3
         if _grp == 0:
             _BOB_KEY_TRIT[_b] = _a
 
@@ -204,16 +206,19 @@ def _lookup(guide: np.ndarray, thresh: np.ndarray, key: np.ndarray) -> np.ndarra
     return index
 
 
-def _eve_codes(raw: np.ndarray, s: np.ndarray, cell: np.ndarray, eve_thresh: np.ndarray | None) -> np.ndarray:
-    """A block's int8 Eve codes, 1 + 3 * group + guess on key rounds under attack, else 0."""
+def _eve_codes(raw: np.ndarray, cell: np.ndarray, eve_thresh: np.ndarray | None) -> np.ndarray:
+    """A block's int8 Eve codes, 1 + 3 * group + guess on key rounds (cells 72 to 80) under
+    attack, else 0; eve_thresh holds Eve's two thresholds by outcome 3a + b, shape (2, 9)."""
     eve = np.zeros(len(cell), dtype=np.int8)
     if eve_thresh is not None:
-        key = np.flatnonzero(s == 8)
-        flat = np.remainder(cell[key], 9, dtype=np.intp)
-        group = _GROUP_OF_FLAT[flat]
+        key = np.flatnonzero(cell >= 72)
+        flat = np.subtract(cell[key], 72, dtype=np.intp)
+        r = _draw(raw[:, 2][key])
         # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
-        step = (_draw(raw[key, 2]) >= eve_thresh[:, group]).sum(0)
-        eve[key] = 1 + 3 * group + (_SLOT_OF_FLAT[flat] + step) % 3
+        code = 3 * flat
+        code += r >= eve_thresh[0][flat]
+        code += r >= eve_thresh[1][flat]
+        eve[key] = _EVE_CODE[code]
     return eve
 
 
@@ -245,8 +250,10 @@ def _simulate_shard(
     ).ravel()
     set_guide = _guide_table(set_thresh, 1 << _GUIDE_BITS)
     out_guide = _guide_table(out_thresh, 9 << _GUIDE_BITS)
-    eve_thresh = None if eve_w is None else _thresholds(np.stack([eve_w, (1.0 + eve_w) / 2.0]))
+    eve_thresh = None if eve_w is None else _thresholds(np.stack([eve_w, (1.0 + eve_w) / 2.0]))[:, _GROUP_OF_FLAT]
     counts = np.zeros(81, dtype=np.int64)
+
+    from numpy.random import Philox  # here, not on import: bell, sweep and crossover never sample
 
     bit_gen = Philox(key=config.seed).advance(lo)
     start = lo
@@ -261,7 +268,7 @@ def _simulate_shard(
         cell = _lookup(out_guide, out_thresh, out_key)
         counts += np.bincount(cell, minlength=81)
         if sink is not None:
-            eve = _eve_codes(raw, s, cell, eve_thresh)
+            eve = _eve_codes(raw, cell, eve_thresh)
             sink(start, cell, eve)
         # freed before the next block is drawn, so the peak is one block's; eve lives on, since
         # with all of a sink block free at once malloc trims the heap and refaults it per block

@@ -209,6 +209,26 @@ def test_analysis_import_does_not_load_simulation(module):
     assert result.stdout.strip() == "[]"
 
 
+def test_only_simulate_loads_numpy_random(tmp_path):
+    # the sampler imports numpy.random on its first sample: bell, sweep and crossover never sample
+    commands = [
+        ["bell"],
+        ["sweep", "--steps=2", "--out", str(tmp_path / "sweep.csv")],
+        ["crossover"],
+        ["simulate", "--trials=10", "--seed=1", "--honest"],
+    ]
+    code = (
+        "import contextlib, io, sys, tritkd.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert tritkd.cli.main(argv) == 0\n"
+        "    print('numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False", "False", "True"]
+
+
 def test_import_builds_no_text_tables():
     # the digit tables of the CSV and transcript writers cost nothing until used
     code = (
@@ -469,6 +489,18 @@ def test_main_maps_exceptions_to_exit_codes(monkeypatch, capsys, tmp_path, entry
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
+@pytest.mark.parametrize("error", [RecursionError, NotImplementedError])
+def test_main_lets_bugs_propagate(monkeypatch, capsys, error):
+    # RuntimeError subclasses that only a bug raises keep their traceback, not exit 1
+    def fail(*args, **kwargs):
+        raise error("x")
+
+    monkeypatch.setattr(cli, "run", fail)
+    with pytest.raises(error):
+        cli.main(_ENTRY_POINTS["run"])
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_out_of_memory_is_runtime_error(monkeypatch, capsys):
     import tritkd.cli
 
@@ -529,6 +561,21 @@ def test_failed_simulate_out_leaves_nothing_new(monkeypatch, capsys, tmp_path, f
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("existed", [None, "a"])
+def test_failed_simulate_out_removes_the_parents_it_made(monkeypatch, capsys, tmp_path, existed):
+    # every directory that mkdir(parents=True) made goes, deepest first; one that existed stays
+    def fail(*args, **kwargs):
+        raise OSError("x")
+
+    if existed:
+        (tmp_path / existed).mkdir()
+    monkeypatch.setattr(cli, "write_transcript", fail)
+    out = tmp_path / "a" / "b" / "run"
+    assert cli.main(["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: x\n"
+    assert sorted(tmp_path.rglob("*")) == ([tmp_path / existed] if existed else [])
 
 
 def test_simulate_out_without_pwrite_is_io_error(monkeypatch, capsys, tmp_path):

@@ -35,7 +35,9 @@ from tritkd.simulate import (
     _GROUP_OF_FLAT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
+    _SLOT_OF_FLAT,
     _columns,
+    _eve_codes,
     _guide_table,
     _line_offset,
     _lookup,
@@ -754,6 +756,28 @@ def test_sampler_exact_when_draws_sit_on_bucket_edges(monkeypatch):
     for lo, hi in [(0, 40), (2, 9), (5, 33)]:
         for column, ref in zip(_shard_columns(config, lo, hi, tables), expected):
             assert np.array_equal(column, ref[lo:hi])
+
+
+def test_eve_codes_at_threshold_edges():
+    # Philox words whose word-2 draw sits on each of Eve's two thresholds, and one below, for
+    # every outcome of a key round; a distinct w per group shows a group mixed up
+    w = np.array([0.3, 0.6, 0.9])
+    thresh = _thresholds(np.stack([w, (1.0 + w) / 2.0]))
+    flat = np.repeat(np.arange(9), 4)
+    k = thresh[np.tile([0, 0, 1, 1], 9), _GROUP_OF_FLAT[flat]] - np.tile([1, 0, 1, 0], 9)
+    raw = np.zeros((2 * len(k), 4), dtype=np.uint64)
+    # the low 11 bits are not part of the draw; non-key rounds with the same words get no code
+    raw[:, 2] = np.tile(k.astype(np.uint64) << np.uint64(11) | np.uint64(0x7FF), 2)
+    cell = np.concatenate([72 + flat, 9 * (np.arange(len(k)) % 8) + flat]).astype(np.int8)
+    eve = _eve_codes(raw, cell, thresh[:, _GROUP_OF_FLAT])
+
+    # the rule in floats, on u = k * 2**-53: r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
+    group, u, w_of = _GROUP_OF_FLAT[flat], k * 2.0**-53, w[_GROUP_OF_FLAT[flat]]
+    step = np.where(u < w_of, 0, np.where(u < (1.0 + w_of) / 2.0, 1, 2))
+    assert np.array_equal(step, np.tile([0, 1, 1, 2], 9))  # each edge is hit from both sides
+    assert eve.dtype == np.int8
+    assert np.array_equal(eve[: len(k)], 1 + 3 * group + (_SLOT_OF_FLAT[flat] + step) % 3)
+    assert not eve[len(k) :].any()
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)
