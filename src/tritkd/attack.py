@@ -10,6 +10,9 @@ Two computation routes exist throughout: closed forms in (f, lam), and the
 explicit 81-dimensional state with square-root-measurement projections.  The
 test suite holds them against each other; neither is derived from the other.
 The simulation samples the white-noise tables, tested against the explicit route.
+This module builds the explicit state; its reductions, the noise-mixture
+decomposition and the square-root-measurement directions are test references
+and live in tests/explicit.py.
 """
 
 from __future__ import annotations
@@ -18,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import (
-    inv_sqrt,
-    chi_state,
-    max_entangled_state,
-    tensor,
-    trace_out_ancilla,
-    tritter_unitary,
-    vectors_from_gram,
-)
+from .quantum import tensor, tritter_unitary, vectors_from_gram
 
 # Outcome pairs under the key settings, grouped by the ancilla subspace they
 # select.  Group 0 is the correct-key group; 1 and 2 are the two wrong-key
@@ -42,15 +37,6 @@ SUBSPACE_PAIRS = (
 _UNMATCHED = ((0, 1), (1, 0), (2, 0), (0, 2), (1, 2), (2, 1))
 # Qutrit pairs in the order of Eve's nine ancilla states, matched kets first.
 _PAIRS = ((0, 0), (1, 1), (2, 2)) + _UNMATCHED
-
-
-class DegenerateDiscriminationError(ValueError):
-    """States to be discriminated do not span a full-dimensional subspace."""
-
-    def __init__(self, rank: int):
-        super().__init__(f"states span only a rank-{rank} subspace")
-        self.rank = rank
-
 
 # Feasible attack knobs: lam below -1/2 has no Gram-feasible realization for
 # three symmetric unit vectors.
@@ -82,42 +68,6 @@ class AttackParams:
         return self.f * self.lam
 
 
-@dataclass(frozen=True)
-class NoiseCoefficients:
-    """Mixture weights of the reduced Alice-Bob state (not necessarily positive)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-
-def coefficients(params: AttackParams) -> NoiseCoefficients:
-    """Mixture weights of the reduced two-qutrit state for given attack knobs.
-
-    Unique solution of a + 2b + d = 1, a - b = f*lam, d = 3(1 - f)/2 with
-    c = b (symmetric noise forces the two wrong-key weights equal).
-    """
-    f, lam = params.f, params.lam
-    d = 1.5 * (1.0 - f)
-    a = (3.0 * f - 1.0 + 4.0 * f * lam) / 6.0
-    b = (3.0 * f - 1.0 - 2.0 * f * lam) / 6.0
-    return NoiseCoefficients(a=a, b=b, c=b, d=d)
-
-
-def density_from_coefficients(co: NoiseCoefficients) -> np.ndarray:
-    """Assemble the 9x9 reduced state from its mixture weights."""
-    psi = max_entangled_state()
-    chi1 = chi_state(1)
-    chi2 = chi_state(2)
-    return (
-        co.a * np.outer(psi, psi.conj())
-        + co.b * np.outer(chi1, chi1.conj())
-        + co.c * np.outer(chi2, chi2.conj())
-        + co.d / 9.0 * np.eye(9)
-    )
-
-
 def build_ancilla_states(params: AttackParams) -> dict[tuple[int, int], np.ndarray]:
     """Eve's nine ancilla states in a 9-dimensional space, keyed by qutrit pair.
 
@@ -139,7 +89,7 @@ def build_tripartite(params: AttackParams) -> np.ndarray:
 
     Matched kets |kk> carry weight sqrt(f/3), unmatched kets sqrt((1-f)/6);
     the ket |ab> with ancilla component e sits at index (3a+b)*9 + e.  Tracing
-    out the ancilla reproduces density_from_coefficients(coefficients(params)).
+    out the ancilla reproduces the noise mixture of tests/explicit.py.
     """
     f = params.f
     weights = np.repeat([np.sqrt(f / 3.0), np.sqrt((1.0 - f) / 6.0)], [3, 6])
@@ -147,11 +97,6 @@ def build_tripartite(params: AttackParams) -> np.ndarray:
     vec = np.zeros((9, 9), dtype=complex)  # ket 3a+b x ancilla
     vec[[3 * m + n for m, n in _PAIRS]] = weights[:, None] * rows
     return vec.ravel()
-
-
-def reduced_density(params: AttackParams) -> np.ndarray:
-    """Alice-Bob state after tracing Eve's ancilla out of the tripartite state."""
-    return trace_out_ancilla(build_tripartite(params), 9, 9)
 
 
 def transformed_tripartite(params: AttackParams, phases_a, phases_b) -> np.ndarray:
@@ -226,26 +171,6 @@ def subspace_analysis(params: AttackParams) -> SubspaceAnalysis:
     # w per group before stacking, as _over_groups computes it for the same params
     w0, w12 = srm_success(lt0), srm_success(lt12)
     return SubspaceAnalysis(*(np.stack([x, y, y]) for x, y in ((p0, p12), (lt0, lt12), (w0, w12))))
-
-
-def srm_directions(states) -> list[np.ndarray]:
-    """Orthonormal square-root-measurement directions for the given states.
-
-    Direction i is Phi**(-1/2) applied to state i, with Phi the sum of the
-    states' outer products.  The inputs may be unnormalized but must be
-    linearly independent; discriminating n states spanning an n-dimensional
-    space makes the directions exactly orthonormal, so the measurement is
-    projective.
-    """
-    vecs = [np.asarray(s, dtype=complex) for s in states]
-    phi = sum(np.outer(v, v.conj()) for v in vecs)
-    scale = max(float(np.linalg.norm(phi)), np.finfo(float).tiny)
-    vals = np.linalg.eigvalsh(phi)
-    rank = int(np.sum(vals > 1e-10 * scale))
-    if rank < len(vecs):
-        raise DegenerateDiscriminationError(rank)
-    root = inv_sqrt(phi, tol=1e-10 * scale)
-    return [root @ v for v in vecs]
 
 
 def eve_error(params: AttackParams) -> float | np.ndarray:

@@ -114,8 +114,6 @@ def cmd_simulate(args) -> int:
         raise ValueError("choose either --honest or both --f and --lam")
     if not args.honest and (args.f is None or args.lam is None):
         raise ValueError("attack source needs both --f and --lam")
-    if args.workers < 1:
-        raise ValueError("--workers must be >= 1")
     attack = None if args.honest else AttackParams(f=args.f, lam=args.lam)
     weights = None if args.weights is None else tuple(float(p) for p in args.weights.split(","))
     config = SimConfig(trials=args.trials, seed=args.seed, attack=attack, setting_weights=weights)

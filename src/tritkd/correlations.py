@@ -1,4 +1,8 @@
-"""Joint outcome statistics, the complex correlation function, and the Bell quantity."""
+"""Joint outcome statistics, the complex correlation function, and the Bell quantity.
+
+The correlation here is the closed form from the phase settings; its reference,
+the correlation of an explicit outcome table, is in tests/explicit.py.
+"""
 
 from __future__ import annotations
 
@@ -42,12 +46,6 @@ def joint_probs(state, phases_a, phases_b) -> np.ndarray:
         raise ValueError(f"state is not normalized (norm {norm})")
     amp = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b)) @ psi
     return _checked_table(np.abs(amp.reshape(3, 3)) ** 2)
-
-
-def correlation_q(table) -> complex:
-    """Complex correlation: sum of ALPHA**(a+b) * p[a, b] over the table."""
-    p = np.asarray(table, dtype=float)
-    return complex(np.sum(_OUTCOME_PHASE * p))
 
 
 def correlation_q_closed(phases_a, phases_b) -> complex:

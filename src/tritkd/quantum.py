@@ -69,20 +69,6 @@ def max_entangled_state() -> np.ndarray:
     return psi
 
 
-def chi_state(k: int) -> np.ndarray:
-    """Maximally entangled two-qutrit states orthogonal to the source state.
-
-    k=1 carries diagonal phases (1, ALPHA, ALPHA**2); k=2 the conjugate
-    pattern (1, ALPHA**2, ALPHA).  Both are orthogonal to max_entangled_state
-    and to each other because 1 + ALPHA + ALPHA**2 = 0.
-    """
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k!r}")
-    vec = np.zeros(9, dtype=complex)
-    vec[[0, 4, 8]] = ALPHA ** (k * np.arange(3)) / np.sqrt(3)
-    return vec
-
-
 def tensor(a, b) -> np.ndarray:
     """Tensor (Kronecker) product; composite index = index(a)*dim(b) + index(b)."""
     return np.kron(np.asarray(a), np.asarray(b))
@@ -96,18 +82,6 @@ def _hermitian_eigh(m, noun: str) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(m, m.conj().T, atol=_HERMITIAN_ATOL, rtol=0.0):
         raise ValueError(f"{noun} is not Hermitian")
     return np.linalg.eigh(m)
-
-
-def inv_sqrt(m, tol: float = 1e-12) -> np.ndarray:
-    """Inverse square root of a Hermitian PSD matrix, restricted to its support.
-
-    Eigenvalues above tol map to 1/sqrt(value); the rest map to 0, so for
-    singular input this is the pseudo-inverse square root.
-    """
-    vals, vecs = _hermitian_eigh(m, "matrix")
-    keep = vals > tol
-    inv = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
-    return (vecs * inv) @ vecs.conj().T
 
 
 def vectors_from_gram(gram) -> list[np.ndarray]:
@@ -129,9 +103,3 @@ def vectors_from_gram(gram) -> list[np.ndarray]:
     vals = np.where(vals > cutoff, vals, 0.0)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return [root[:, i].copy() for i in range(len(vals))]
-
-
-def trace_out_ancilla(vec, sys_dim: int, anc_dim: int) -> np.ndarray:
-    """Reduced density matrix of a pure state after tracing out the trailing factor."""
-    m = np.asarray(vec, dtype=complex).reshape(sys_dim, anc_dim)
-    return m @ m.conj().T

@@ -22,7 +22,7 @@ import numpy as np
 
 from .attack import SUBSPACE_PAIRS, AttackParams, subspace_analysis
 from .attack import transformed_tripartite  # noqa: F401 -- perfbench/spans.py wraps it on this module
-from .correlations import CRITICAL_VISIBILITY, QUANTUM_BELL_VALUE, bell_from_counts, joint_probs
+from .correlations import LOCAL_REALISM_BOUND, bell_from_counts, joint_probs
 from .quantum import max_entangled_state, standard_settings
 
 # Uniforms consumed per trial (settings, outcome, eve guess, spare).  Four is
@@ -42,27 +42,23 @@ _GUIDE_SHIFT = 53 - _GUIDE_BITS
 # Shard threads share one process, so their block temporaries add up in its peak.
 _BLOCK_TRIALS = 1 << 16
 
-# Group (intp: it indexes Eve's thresholds) and slot of each outcome 3a + b.  Eve's guess (group,
+# Group of each outcome 3a + b (intp: it indexes Eve's thresholds).  Eve's guess (group,
 # slot) names Alice's symbol in that pair; Bob's outcome b names _BOB_KEY_TRIT[b], hers in group 0.
 # _EVE_CODE[3 * (3a + b) + step] is the Eve code 1 + 3 * group + guess of a guess step slots past it.
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.intp)
-_SLOT_OF_FLAT = np.zeros(9, dtype=np.int8)
 _EVE_TRIT = np.zeros((3, 3), dtype=np.int8)
 _BOB_KEY_TRIT = np.zeros(3, dtype=np.int8)
 _EVE_CODE = np.zeros(27, dtype=np.int8)
 for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
     for _slot, (_a, _b) in enumerate(_pairs):
         _GROUP_OF_FLAT[3 * _a + _b] = _grp
-        _SLOT_OF_FLAT[3 * _a + _b] = _slot
         _EVE_TRIT[_grp, _slot] = _a
         _EVE_CODE[9 * _a + 3 * _b : 9 * _a + 3 * _b + 3] = 1 + 3 * _grp + (_slot + np.arange(3)) % 3
         if _grp == 0:
             _BOB_KEY_TRIT[_b] = _a
 
 # The abort rule holds the Bell estimate's lower confidence bound, S minus
-# _ABORT_SIGMAS standard errors, against the local-realism line V0 * (quantum
-# Bell value).
-_ABORT_BOUND = CRITICAL_VISIBILITY * QUANTUM_BELL_VALUE
+# _ABORT_SIGMAS standard errors, against the local-realism bound sqrt(3).
 _ABORT_SIGMAS = 3.0
 
 
@@ -285,17 +281,17 @@ def abort_decision(s_estimate: float, s_std_error: float) -> tuple[bool, str]:
     """Abort unless the Bell estimate is confidently above the local-realism line.
 
     Aborts iff the lower confidence bound s_estimate - 3 * s_std_error is
-    below CRITICAL_VISIBILITY * QUANTUM_BELL_VALUE, or is not a number.
+    below LOCAL_REALISM_BOUND = sqrt(3), or is not a number.
     """
     if s_std_error < 0.0:
         raise ValueError("s_std_error must be nonnegative")
     lower = s_estimate - _ABORT_SIGMAS * s_std_error
-    if not lower >= _ABORT_BOUND:
+    if not lower >= LOCAL_REALISM_BOUND:
         return True, (
             f"bell estimate {s_estimate:.6f} (-{_ABORT_SIGMAS:g} sigma = {lower:.6f}) "
-            f"below threshold {_ABORT_BOUND:.6f}"
+            f"below threshold {LOCAL_REALISM_BOUND:.6f}"
         )
-    return False, f"bell estimate {s_estimate:.6f} meets threshold {_ABORT_BOUND:.6f}"
+    return False, f"bell estimate {s_estimate:.6f} meets threshold {LOCAL_REALISM_BOUND:.6f}"
 
 
 def _sampling_tables(config: SimConfig):

@@ -73,6 +73,8 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
 
     One record per grid point, with the fields named by CSV_COLUMNS; bell_violated and secure
     are booleans, the rest floats.  A log_base that is not finite and > 1 raises ValueError.
+    secure compares informations only: it holds at some v < 0 (f = 0.95, lam < -0.31), where
+    the Bell estimate is negative and every simulated run aborts.
     """
     _check_log_base(log_base)  # before the grid is built, not after its closed forms
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
@@ -198,22 +200,20 @@ def format_csv(rows, comments=()) -> str:
 
 
 def _best_gap(v, grid: int = _GRID, zooms: int = _ZOOMS) -> tuple[np.ndarray, np.ndarray]:
-    """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, vectorised over v.
+    """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, for each v of a 1-D array.
 
     A grid of grid points in f is zoomed zooms times onto its best point's neighbours; I_AB,
     a function of v alone, is evaluated once, outside.
     """
     v = np.asarray(v, dtype=float)
-    i_ab = mutual_info_ab(AttackParams(f=1.0, lam=v), np.e)
-    lo = np.maximum(v, 1e-9)  # lam = v/f must stay <= 1
-    hi = np.ones_like(lo)
+    rows = np.arange(len(v))
+    lo, hi = np.maximum(v, 1e-9), np.ones_like(v)  # lam = v/f must stay <= 1
     for _ in range(zooms + 1):
         f = np.linspace(lo, hi, grid, axis=-1)
-        i_ae = mutual_info_ae(AttackParams(f=f, lam=v[..., None] / f), np.e)
-        i = np.argmax(i_ae, axis=-1)[..., None]
-        lo = np.take_along_axis(f, np.maximum(i - 1, 0), axis=-1)[..., 0]
-        hi = np.take_along_axis(f, np.minimum(i + 1, grid - 1), axis=-1)[..., 0]
-    return np.take_along_axis(i_ae, i, axis=-1)[..., 0] - i_ab, np.take_along_axis(f, i, axis=-1)[..., 0]
+        i_ae = mutual_info_ae(AttackParams(f=f, lam=v[:, None] / f), np.e)
+        i = np.argmax(i_ae, axis=-1)
+        lo, hi = f[rows, np.maximum(i - 1, 0)], f[rows, np.minimum(i + 1, grid - 1)]
+    return i_ae[rows, i] - mutual_info_ab(AttackParams(f=1.0, lam=v), np.e), f[rows, i]
 
 
 def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverResult:
@@ -225,6 +225,7 @@ def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverR
     result is within tolerance (in the given log base; the location is base-independent).
     Raises ValueError for a tolerance that is not finite and positive or that the search cannot
     reach, or a log_base not finite and > 1, and RuntimeError where _bracket finds no sign change.
+    The search covers v > 0.01 and compares informations only, as sweep_rows' secure does.
     """
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")

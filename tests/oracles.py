@@ -13,7 +13,8 @@ decimal_max_gap, the closed forms written out again in 40-digit decimal
 arithmetic and maximised by golden section; and reference_find_crossover,
 bracketed by the fully zoomed scan behind the one-pass bracket scan.
 reference_format_csv, one '%.9g' template per row, is the text the
-table-driven CSV renderer must match.
+table-driven CSV renderer must match.  LOCAL_MODEL_AT_V0 is a pinned local
+model of the outcome tables at the critical visibility.
 """
 
 import decimal
@@ -22,6 +23,7 @@ from decimal import Decimal
 import numpy as np
 from numpy.random import Generator, Philox
 
+from explicit import _SLOT_OF_FLAT, srm_directions
 from tritkd.attack import (
     _UNMATCHED,
     SUBSPACE_PAIRS,
@@ -29,12 +31,11 @@ from tritkd.attack import (
     build_ancilla_states,
     mutual_info_ab,
     mutual_info_ae,
-    srm_directions,
     transformed_tripartite,
 )
 from tritkd.correlations import ALPHA, _checked_table
 from tritkd.quantum import standard_settings, tensor, tritter_unitary
-from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT, _SLOT_OF_FLAT
+from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT
 from tritkd.sweep import CSV_COLUMNS, _best_gap, _false_position
 
 
@@ -314,3 +315,28 @@ def reference_format_csv(rows, comments=()):
     lines.append(",".join(CSV_COLUMNS))
     lines.extend(template % row for row in rows.tolist())
     return "\n".join(lines) + "\n"
+
+
+# A local hidden-variable model of the nine white-noise outcome tables at v = V0: (index j of
+# the deterministic strategy itertools.product(range(3), repeat=6)[j] = (a1, a2, a3, b1, b2, b3),
+# weight) pairs, where strategy j puts setting pair (k, l) on outcome (a_k, b_l).  Found once by
+# a feasibility linear program over all 729 strategies (HiGHS); at V0 + 1e-6 the same program is
+# infeasible, so no Bell inequality on these settings is violated at or below V0.
+LOCAL_MODEL_AT_V0 = (
+    (1, 0.005990275280279946), (9, 0.0068185100807566235), (29, 0.05355398970441403),
+    (38, 0.00598409484893599), (47, 0.059544264984693965), (64, 0.0242052452593214),
+    (81, 0.0033283883802537753), (83, 0.007241898128011051), (152, 0.010570286508264776),
+    (165, 0.04939736652368355), (190, 0.0029534168785489145), (217, 0.056590848106145064),
+    (220, 0.010146898461010377), (223, 0.03700785018901404), (261, 0.059544264984693986),
+    (264, 0.03313657655546226), (268, 0.02515812699195717), (321, 0.029507385649656152),
+    (323, 0.004878752343080401), (330, 0.0069575792860599285), (350, 0.011702412149952789),
+    (367, 0.020452438126584968), (368, 0.039091826858109004), (375, 0.007748727698447401),
+    (385, 0.030050270902954042), (403, 0.040093125136293754), (455, 0.003871273633551683),
+    (463, 0.010570286508264826), (484, 0.01057028650826515), (497, 0.0024043511939071845),
+    (526, 0.003912479042528463), (531, 0.0036343406319214906), (536, 0.010529081099288275),
+    (549, 0.004253456271829178), (559, 0.0002781384106069727), (582, 0.04150956961993283),
+    (605, 0.037007850189013966), (608, 0.013245564976206818), (611, 0.01803469536476124),
+    (634, 0.04629870000848716), (653, 0.012412180449614313), (660, 0.03198281750405772),
+    (661, 0.0026124396492482205), (669, 0.03313657655546226), (678, 0.02237777359111644),
+    (679, 0.006442507873823167), (689, 0.02494900783138799), (707, 0.01831180307014003),
+)

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from explicit import correlation_q, srm_directions
 from oracles import (
     ab_joint_table_explicit,
     eve_joint_table_explicit,
@@ -25,7 +26,6 @@ from tritkd.attack import (
     eve_error,
     mutual_info_ab,
     mutual_info_ae,
-    srm_directions,
     subspace_analysis,
 )
 from tritkd.correlations import (
@@ -33,7 +33,6 @@ from tritkd.correlations import (
     LOCAL_REALISM_BOUND,
     QUANTUM_BELL_VALUE,
     bell_s,
-    correlation_q,
     correlation_q_closed,
     joint_probs,
 )

@@ -3,6 +3,16 @@
 import numpy as np
 import pytest
 
+from explicit import (
+    _SLOT_OF_FLAT,
+    DegenerateDiscriminationError,
+    coefficients,
+    correlation_q,
+    density_from_coefficients,
+    reduced_density,
+    srm_directions,
+    trace_out_ancilla,
+)
 from oracles import (
     ab_joint_table_explicit,
     conditional_ancillas,
@@ -16,24 +26,19 @@ from oracles import (
 from tritkd.attack import (
     SUBSPACE_PAIRS,
     AttackParams,
-    DegenerateDiscriminationError,
     ab_error,
     build_ancilla_states,
     build_tripartite,
-    coefficients,
-    density_from_coefficients,
     eve_error,
     mutual_info_ab,
     mutual_info_ae,
-    reduced_density,
-    srm_directions,
     srm_success,
     subspace_analysis,
     transformed_tripartite,
 )
-from tritkd.correlations import CRITICAL_VISIBILITY, correlation_q, correlation_q_closed
-from tritkd.quantum import max_entangled_state, standard_settings, trace_out_ancilla, vectors_from_gram
-from tritkd.simulate import _GROUP_OF_FLAT, _SLOT_OF_FLAT
+from tritkd.correlations import CRITICAL_VISIBILITY, correlation_q_closed
+from tritkd.quantum import max_entangled_state, standard_settings, vectors_from_gram
+from tritkd.simulate import _GROUP_OF_FLAT
 
 
 def test_params_validation():

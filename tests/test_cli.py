@@ -453,6 +453,14 @@ def test_simulate_unwritable_out_is_io_error(tmp_path):
     assert result.returncode == 1
 
 
+def test_simulate_bad_workers_leaves_out_dir_empty(tmp_path):
+    # the library rejects the count after the CLI made the directories and opened the transcript
+    result = tritkd(*_SIMULATE, "--honest", "--workers", "0", "--out", str(tmp_path / "a" / "run"))
+    assert result.returncode == 2
+    assert "workers must be >= 1" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # The argv of a command that reaches each library call; a trailing --out takes a path.
 _ENTRY_POINTS = {
     "sweep_rows": ["sweep", "--steps=2", "--out"],

@@ -1,19 +1,23 @@
 """Tests for the correlation function, Bell quantity, and thresholds."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import joint_probs_rho
+from explicit import chi_state, correlation_q
+from oracles import LOCAL_MODEL_AT_V0, joint_probs_rho
+from tritkd.attack import AttackParams
 from tritkd.correlations import (
     CRITICAL_VISIBILITY,
     LOCAL_REALISM_BOUND,
     QUANTUM_BELL_VALUE,
     bell_s,
-    correlation_q,
     correlation_q_closed,
     joint_probs,
 )
-from tritkd.quantum import ALPHA, chi_state, max_entangled_state, standard_settings
+from tritkd.quantum import ALPHA, max_entangled_state, standard_settings
+from tritkd.simulate import SimConfig, _outcome_tables
 
 ALICE, BOB = standard_settings()
 
@@ -138,6 +142,21 @@ def test_thresholds():
     assert abs(v0 - 0.6961524) < 1e-7
     assert abs(v0 * value - bound) < 1e-12
     assert abs(bound / value - v0) < 1e-12
+
+
+def test_critical_visibility_has_a_local_model_on_all_nine_setting_pairs():
+    # with the tests of S above V0, no Bell inequality on these settings holds at v <= V0,
+    # so v > V0 is exactly the Bell-violating region
+    config = SimConfig(trials=1, seed=0, attack=AttackParams(f=1.0, lam=CRITICAL_VISIBILITY))
+    strategies = list(itertools.product(range(3), repeat=6))
+    weights = np.array([w for _, w in LOCAL_MODEL_AT_V0])
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+    model = np.zeros(81)
+    for j, w in LOCAL_MODEL_AT_V0:
+        a, b = strategies[j][:3], strategies[j][3:]
+        for k, l in itertools.product(range(3), repeat=2):
+            model[9 * (3 * k + l) + 3 * a[k] + b[l]] += w
+    assert np.abs(model - _outcome_tables(config).ravel()).max() <= 1e-12
 
 
 def test_joint_probs_rho_matches_pure_state_path():

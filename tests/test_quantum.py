@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
+from explicit import chi_state, inv_sqrt, trace_out_ancilla
 from tritkd.quantum import (
     ALPHA,
     InfeasibleGramError,
-    chi_state,
-    inv_sqrt,
     max_entangled_state,
     standard_settings,
     tensor,
-    trace_out_ancilla,
     tritter_unitary,
     vectors_from_gram,
 )

@@ -1,0 +1,39 @@
+"""Every top-level function and class of the package is used by the package.
+
+Code that only the tests call lives under tests/, as the explicit-state
+references of tests/explicit.py do; this guard names any library definition
+that nothing else in src/tritkd refers to.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tritkd"
+
+
+def _names(tree) -> Counter:
+    """Identifiers under tree used as a Name, an Attribute or an import alias."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.asname or node.name] += 1
+    return names
+
+
+def test_every_library_definition_is_used_by_the_library():
+    trees = {path.name: ast.parse(path.read_text(), path.name) for path in sorted(SRC.glob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    # a use inside the definition itself, such as recursion, does not count
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and used[node.name] == _names(node)[node.name]
+    ]
+    assert unused == []

@@ -17,17 +17,17 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 import tritkd.simulate
+from explicit import _SLOT_OF_FLAT, correlation_q, reduced_density
 from oracles import feasible_grid, joint_probs_rho, reference_bell, reference_shard, sifted_keys
 from tritkd.attack import (
     SUBSPACE_PAIRS,
     AttackParams,
     ab_error,
     eve_error,
-    reduced_density,
     subspace_analysis,
     transformed_tripartite,
 )
-from tritkd.correlations import QUANTUM_BELL_VALUE, bell_from_counts, bell_s, correlation_q, joint_probs
+from tritkd.correlations import LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, bell_from_counts, bell_s, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
     _BOB_KEY_TRIT,
@@ -35,7 +35,6 @@ from tritkd.simulate import (
     _GROUP_OF_FLAT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
-    _SLOT_OF_FLAT,
     _columns,
     _eve_codes,
     _guide_table,
@@ -409,6 +408,7 @@ def test_abort_decision_rule():
     aborted, reason = abort_decision(1.74, 0.005)
     assert aborted and "below threshold" in reason
     assert not abort_decision(1.76, 0.005)[0]
+    assert not abort_decision(LOCAL_REALISM_BOUND, 0.0)[0]  # sqrt(3) itself meets the threshold
     assert abort_decision(float("nan"), 0.01)[0]
     with pytest.raises(ValueError):
         abort_decision(2.0, -0.1)

@@ -30,6 +30,7 @@ from tritkd.attack import (
     subspace_analysis,
 )
 from tritkd.correlations import CRITICAL_VISIBILITY
+from tritkd.simulate import SimConfig, run
 from tritkd.sweep import CSV_COLUMNS, _best_gap, _bracket, find_crossover, format_csv, sweep_rows
 
 BAD_LOG_BASES = [0.5, 1.0, -2.0, float("inf"), float("nan")]
@@ -97,6 +98,15 @@ def test_sweep_row_invariants():
         assert row.secure == (row.i_ab > row.i_ae)
         if row.bell_violated:
             assert row.e_eve >= row.e_ab
+
+
+def test_secure_without_bell_violation_at_negative_visibility():
+    # secure compares informations only: at f = 0.95, lam < -0.31 I_AB > I_AE, yet S = 2.488 v < 0
+    rows = sweep_rows([0.95], [-0.45, -0.4, -0.35, -0.31])
+    assert rows.secure.tolist() == [True, True, True, False]
+    assert not rows.bell_violated.any()
+    assert np.allclose(rows.i_ab - rows.i_ae, [0.130, 0.072, 0.027, -0.002], rtol=0.0, atol=5e-4)
+    assert run(SimConfig(trials=1000, seed=1, attack=AttackParams(f=0.95, lam=-0.4))).aborted
 
 
 def test_sweep_row_order_is_f_outer():
