@@ -42,20 +42,14 @@ _GUIDE_SHIFT = 53 - _GUIDE_BITS
 # Shard threads share one process, so their block temporaries add up in its peak.
 _BLOCK_TRIALS = 1 << 16
 
-# Group of each outcome 3a + b (intp: it indexes Eve's thresholds).  Eve's guess (group,
-# slot) names Alice's symbol in that pair; Bob's outcome b names _BOB_KEY_TRIT[b], hers in group 0.
+# Group of each outcome 3a + b (intp: it indexes Eve's thresholds).
 # _EVE_CODE[3 * (3a + b) + step] is the Eve code 1 + 3 * group + guess of a guess step slots past it.
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.intp)
-_EVE_TRIT = np.zeros((3, 3), dtype=np.int8)
-_BOB_KEY_TRIT = np.zeros(3, dtype=np.int8)
 _EVE_CODE = np.zeros(27, dtype=np.int8)
 for _grp, _pairs in enumerate(SUBSPACE_PAIRS):
     for _slot, (_a, _b) in enumerate(_pairs):
         _GROUP_OF_FLAT[3 * _a + _b] = _grp
-        _EVE_TRIT[_grp, _slot] = _a
         _EVE_CODE[9 * _a + 3 * _b : 9 * _a + 3 * _b + 3] = 1 + 3 * _grp + (_slot + np.arange(3)) % 3
-        if _grp == 0:
-            _BOB_KEY_TRIT[_b] = _a
 
 # The abort rule holds the Bell estimate's lower confidence bound, S minus
 # _ABORT_SIGMAS standard errors, against the local-realism bound sqrt(3).
@@ -108,8 +102,8 @@ class ProtocolTranscript:
     counts[pair, a, b] counts the trials with setting pair 3 * (alice - 1) +
     (bob - 1) and 0-based outcomes a, b.  s_estimate/s_std_error are None when
     some Bell-test setting pair never occurred, qber is None when no key
-    rounds occurred.  columns and the sifted keys replay the counter-based
-    stream when read; sifted_key_eve is None when no key round has an Eve record.
+    rounds occurred.  Nothing per trial is kept: the per-trial record is the
+    file write_transcript writes.
     """
 
     config: SimConfig
@@ -124,29 +118,13 @@ class ProtocolTranscript:
     def sifted_length(self) -> int:
         return int(self.counts[8].sum())
 
-    def _replay(self, select) -> np.ndarray:
-        """select(_columns(cell, eve)) of each block of the run, concatenated."""
-        parts = []
-        _run(self.config, 1, lambda start, cell, eve: parts.append(select(_columns(cell, eve))))
-        return np.concatenate(parts, axis=1)
-
-    @property
-    def columns(self) -> np.ndarray:
-        """(5, trials) int8: setting pair, a, b, Eve's subspace and guess (-1 where absent)."""
-        return self._replay(lambda block: block)
-
+    # perfbench/spans.py reads its length; it leaves with ROADMAP item 3
     @functools.cached_property
-    def _sifted_keys(self) -> tuple[str, str, str | None]:
-        """(Alice, Bob, Eve) keys from one replay that keeps only key rounds."""
-        a, b, eve_sub, eve_guess = self._replay(lambda block: block[1:, block[0] == 8])
-        alice, bob = _trits_to_str(a), _trits_to_str(_BOB_KEY_TRIT[b])
-        if self.config.attack is None or a.size == 0:
-            return alice, bob, None
-        return alice, bob, _trits_to_str(_EVE_TRIT[eve_sub, eve_guess])
-
-    sifted_key_alice = property(lambda self: self._sifted_keys[0])
-    sifted_key_bob = property(lambda self: self._sifted_keys[1])
-    sifted_key_eve = property(lambda self: self._sifted_keys[2])
+    def sifted_key_alice(self) -> str:
+        """Alice's key-round outcomes as digits, from a serial replay that keeps only key rounds."""
+        parts = []
+        _run(self.config, 1, lambda start, cell, eve: parts.append((cell[cell >= 72] - 72) // 3))
+        return (np.concatenate(parts) + ord("0")).tobytes().decode("ascii")
 
 
 def _columns(cell: np.ndarray, eve: np.ndarray) -> np.ndarray:
@@ -273,10 +251,6 @@ def _simulate_shard(
     return counts
 
 
-def _trits_to_str(trits: np.ndarray) -> str:
-    return (trits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
-
-
 def abort_decision(s_estimate: float, s_std_error: float) -> tuple[bool, str]:
     """Abort unless the Bell estimate is confidently above the local-realism line.
 
@@ -339,8 +313,7 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     n_key = int(counts[8].sum())
     errors = int(counts[8].ravel()[_GROUP_OF_FLAT != 0].sum())
     qber = errors / n_key if n_key else None
-    if s_estimate is None:
-        # no Bell evidence, no key
+    if s_estimate is None:  # no Bell evidence, no key
         aborted, reason = True, "bell estimate unavailable (no test rounds)"
     else:
         aborted, reason = abort_decision(s_estimate, s_std_error)
@@ -440,5 +413,11 @@ def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
 
 
 def write_summary(config: SimConfig, transcript: ProtocolTranscript, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True) + "\n")
+    """summary_dict as JSON in path, which is removed if the write fails once path is open."""
+    fh = open(path, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            fh.write(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        os.unlink(path)
+        raise

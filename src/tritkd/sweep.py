@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +49,6 @@ _POW10 = np.array([float(10**k) for k in range(25)])
 _GRID = 201
 _F_SPACING = 1e-8
 _ZOOMS = math.ceil(math.log(1.0 / (_GRID - 1) / _F_SPACING, (_GRID - 1) / 2))
-_STEPS = 200
 # find_crossover's bracket scan: on its fixed v grid a one-pass _SCAN_GRID-point maximum falls
 # at most 5.3e-4 nats short of _best_gap, while |gap| >= 3.6e-3, so their signs agree.
 _SCAN_GRID = 51
@@ -253,7 +253,7 @@ def _false_position(lo, hi, g_lo, g_hi, tolerance, log_base) -> CrossoverResult:
     scale = 1.0 / math.log(log_base)
     ends = [(lo, g_lo, None), (hi, g_hi, None)]  # (v, gap, argmax f), f known once a step sets the end
     third, width = None, math.inf  # the end last replaced; the bracket's width a step ago
-    for step in range(1, _STEPS + 1):
+    for step in itertools.count(1):
         (lo, g_lo, _), (hi, g_hi, _) = ends
         slope = (g_hi - g_lo) / (hi - lo)
         centre, half = hi - g_hi / slope, (hi - lo) / 64  # a first step has no curvature to go by
@@ -272,8 +272,8 @@ def _false_position(lo, hi, g_lo, g_hi, tolerance, log_base) -> CrossoverResult:
         v, gap, f_star = min((e for e in ends if e[2] is not None), key=lambda e: abs(e[1]))
         if ends[1][0] - ends[0][0] < tolerance and abs(gap) * scale <= tolerance:
             break
-    else:
-        raise ValueError(f"tolerance {tolerance!r} not reached in {_STEPS} search steps")
+        if ends[1][0] - ends[0][0] == width:  # no double lies between the ends: the rounding floor
+            raise ValueError(f"tolerance {tolerance!r} not reached: the bracket [{lo!r}, {hi!r}] cannot shrink")
 
     return CrossoverResult(v_max=v, argmax_f=f_star, argmax_lam=v / f_star, tolerance=tolerance,
                            iterations=step, bracket=ends[1][0] - ends[0][0], gap_residual=gap * scale)

@@ -13,12 +13,14 @@ decimal_max_gap, the closed forms written out again in 40-digit decimal
 arithmetic and maximised by golden section; and reference_find_crossover,
 bracketed by the fully zoomed scan behind the one-pass bracket scan.
 reference_format_csv, one '%.9g' template per row, is the text the
-table-driven CSV renderer must match.  LOCAL_MODEL_AT_V0 is a pinned local
+table-driven CSV renderer must match.  read_transcript reads the per-trial
+record back from the transcript file the CLI writes.  LOCAL_MODEL_AT_V0 is a pinned local
 model of the outcome tables at the critical visibility.
 """
 
 import decimal
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -155,8 +157,19 @@ def mutual_info_from_table(table, log_base=3.0):
     return value / np.log(log_base)
 
 
-def sifted_keys(transcript):
-    """(Alice, Bob, Eve) sifted keys, built one key round at a time.
+def read_transcript(path):
+    """(5, trials) int8 setting pair, a, b, Eve's subspace and guess (-1 for '-') of a
+    transcript.tsv: one gather of the six fields at fixed offsets before each newline."""
+    data = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
+    newlines = np.flatnonzero(data == ord("\n"))[1:]  # past the header's
+    fields = data[newlines - np.arange(11, 0, -2)[:, None]].astype(np.int8) - ord("0")
+    fields[fields == ord("-") - ord("0")] = -1
+    return np.concatenate([3 * fields[:1] + fields[1:2] - 4, fields[2:]])
+
+
+def sifted_keys(columns):
+    """(Alice, Bob, Eve) sifted keys of (5, n) columns as read_transcript gives them,
+    built one key round at a time.
 
     Alice's trit is her outcome; Bob's is the Alice symbol his outcome pairs
     with in the correct-key group; Eve's is Alice's member of the pair her
@@ -165,7 +178,7 @@ def sifted_keys(transcript):
     """
     alice_of_bob = {b: a for a, b in SUBSPACE_PAIRS[0]}
     alice, bob, eve = [], [], []
-    for pair, a, b, sub, guess in transcript.columns.T.tolist():
+    for pair, a, b, sub, guess in np.transpose(columns).tolist():
         # key rounds only: settings (A3, B3), pair index 3 * 2 + 2
         if pair != 8:
             continue

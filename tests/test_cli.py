@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -548,11 +549,20 @@ def test_shard_out_of_memory_is_runtime_error(monkeypatch, capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "fault, existed",
-    [("summary-is-dir", True), ("summary", False), ("transcript", False), ("transcript", True)],
+    [
+        ("summary-is-dir", True),
+        ("summary", False),
+        ("summary-write", False),
+        ("transcript", False),
+        ("transcript", True),
+    ],
 )
 def test_failed_simulate_out_leaves_nothing_new(monkeypatch, capsys, tmp_path, fault, existed):
-    # a failed summary write used to leave the finished transcript behind, and a failed
-    # transcript write the empty --out directory that this call made; one that existed stays
+    # a failed summary write used to leave the finished transcript behind, a summary.json that
+    # failed after its open the file itself, and a failed transcript write the empty --out
+    # directory that this call made; one that existed stays
+    import tritkd.simulate
+
     def fail(*args, **kwargs):
         raise OSError("x")
 
@@ -561,6 +571,8 @@ def test_failed_simulate_out_leaves_nothing_new(monkeypatch, capsys, tmp_path, f
         out.mkdir()
     if fault == "summary-is-dir":
         (out / "summary.json").mkdir()
+    elif fault == "summary-write":  # the disk fills once summary.json is open
+        monkeypatch.setattr(tritkd.simulate, "json", SimpleNamespace(dumps=fail))
     else:
         monkeypatch.setattr(cli, f"write_{fault}", fail)
     before = sorted(tmp_path.rglob("*"))

@@ -1,11 +1,17 @@
-"""The names that the benchmark in perfbench/ patches and imports still exist in tritkd.
+"""The names that the benchmark in perfbench/ patches and imports still exist in tritkd,
+and its traced hooks read what a CLI run gives them.
 
 Only `perfbench/run.py --smoke` exercises them otherwise.  These tests read
 perfbench/ and change nothing there.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
+
+import tritkd.cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -36,3 +42,24 @@ def test_expected_row_resolves_its_imports():
     assert len(reals) == 9
     assert reals[2] == 0.25
     assert flags == (0, 0)
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["run", "out"])
+def test_traced_simulate_hooks(out, tmp_path, capsys):
+    # the hooks the traced benchmark jobs run after each wrapped call, on an attacked simulate
+    argv = ["simulate", "--trials", "2000", "--seed", "3", "--f", "0.9", "--lam", "0.8"]
+    path = tmp_path / "run" / "transcript.tsv"
+    if out:
+        argv += ["--out", str(path.parent)]
+    tracer = _load("spans").Tracer()
+    tracer.install()
+    try:
+        assert tritkd.cli.main(argv) == 0
+    finally:
+        trace = tracer.finish(0.0, 0.0)
+    printed = json.loads(capsys.readouterr().out)
+    if out:
+        assert trace["spans"]["simulate.write_transcript"]["bytes"] == path.stat().st_size
+    else:
+        assert trace["spans"]["simulate.run"]["sifted"] == printed["sifted_length"]
+        assert trace["pool"]["identical"]

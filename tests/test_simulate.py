@@ -18,7 +18,7 @@ from numpy.random import Generator, Philox
 
 import tritkd.simulate
 from explicit import _SLOT_OF_FLAT, correlation_q, reduced_density
-from oracles import feasible_grid, joint_probs_rho, reference_bell, reference_shard, sifted_keys
+from oracles import feasible_grid, joint_probs_rho, read_transcript, reference_bell, reference_shard, sifted_keys
 from tritkd.attack import (
     SUBSPACE_PAIRS,
     AttackParams,
@@ -30,8 +30,6 @@ from tritkd.attack import (
 from tritkd.correlations import LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, bell_from_counts, bell_s, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
-    _BOB_KEY_TRIT,
-    _EVE_TRIT,
     _GROUP_OF_FLAT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
@@ -58,13 +56,9 @@ from tritkd.simulate import (
 
 def _transcripts_equal(a: ProtocolTranscript, b: ProtocolTranscript) -> bool:
     return (
-        np.array_equal(a.columns, b.columns)
-        and np.array_equal(a.counts, b.counts)
+        np.array_equal(a.counts, b.counts)
         and a.s_estimate == b.s_estimate
         and a.s_std_error == b.s_std_error
-        and a.sifted_key_alice == b.sifted_key_alice
-        and a.sifted_key_bob == b.sifted_key_bob
-        and a.sifted_key_eve == b.sifted_key_eve
         and a.qber == b.qber
         and a.aborted == b.aborted
     )
@@ -111,15 +105,25 @@ def test_setting_weights_stored_as_float_tuple():
     assert configs[0] != SimConfig(trials=10, seed=1)
 
 
-def test_same_seed_same_transcript():
-    config = SimConfig(trials=5000, seed=123, attack=AttackParams(f=0.9, lam=0.8))
-    assert _transcripts_equal(run(config), run(config))
-
-
 def _transcript_bytes(config, path, workers):
     """(transcript.tsv bytes, returned transcript) of write_transcript."""
     transcript = write_transcript(config, path, workers=workers)
     return path.read_bytes(), transcript
+
+
+def _read_written(config, tmp_path):
+    """(returned transcript, columns read back from transcript.tsv) of a serial write_transcript."""
+    path = tmp_path / "transcript.tsv"
+    transcript = write_transcript(config, path)
+    return transcript, read_transcript(path)
+
+
+def test_same_seed_same_transcript(tmp_path):
+    config = SimConfig(trials=5000, seed=123, attack=AttackParams(f=0.9, lam=0.8))
+    assert _transcripts_equal(run(config), run(config))
+    first, _ = _transcript_bytes(config, tmp_path / "first.tsv", 1)
+    second, _ = _transcript_bytes(config, tmp_path / "second.tsv", 1)
+    assert first == second
 
 
 def test_worker_count_does_not_change_output(monkeypatch, tmp_path):
@@ -161,7 +165,6 @@ def test_threads_bounded_by_cpu_count(monkeypatch, tmp_path):
     calls.clear()
     blob, written = _transcript_bytes(config, tmp_path / "many.tsv", 10**9)
     assert 1 <= len(calls) <= 2
-    # reading columns and keys replays the stream on threads of its own
     assert _transcripts_equal(serial, bounded)
     assert blob == serial_bytes
     assert _transcripts_equal(serial, written)
@@ -211,12 +214,13 @@ def test_shards_cover_every_trial(trials, monkeypatch):
     assert max(sizes) - min(sizes) <= 1
 
 
-def test_honest_run_statistics():
+def test_honest_run_statistics(tmp_path):
     config = SimConfig(trials=100_000, seed=2024)
-    transcript = run(config)
+    transcript, columns = _read_written(config, tmp_path)
     assert transcript.qber == 0.0
-    assert transcript.sifted_key_alice == transcript.sifted_key_bob
-    assert transcript.sifted_key_eve is None
+    alice_key, bob_key, eve_key = sifted_keys(columns)
+    assert alice_key == bob_key
+    assert eve_key is None
     assert not transcript.aborted
     assert abs(transcript.s_estimate - QUANTUM_BELL_VALUE) < 3 * transcript.s_std_error + 0.02
 
@@ -224,55 +228,50 @@ def test_honest_run_statistics():
     alice, bob = standard_settings()
     psi = max_entangled_state()
     bound = 5.0 / np.sqrt(config.trials)
-    setting_idx, a, b = transcript.columns[:3]
     for m in range(3):
         for n in range(3):
-            mask = setting_idx == 3 * m + n
-            counts = np.zeros((3, 3))
-            np.add.at(counts, (a[mask], b[mask]), 1)
-            freq = counts / mask.sum()
+            counts = transcript.counts[3 * m + n]
+            freq = counts / counts.sum()
             expected = joint_probs(psi, alice[m], bob[n])
             assert 0.5 * np.abs(freq - expected).sum() < bound
 
 
-def test_group_assignment_exact():
+def test_group_assignment_exact(tmp_path):
     config = SimConfig(trials=3000, seed=5, attack=AttackParams(f=0.8, lam=0.9))
-    transcript = run(config)
-    setting_idx, _, _, eve_sub, eve_guess = transcript.columns
+    transcript, columns = _read_written(config, tmp_path)
+    setting_idx, _, _, eve_sub, eve_guess = columns
     key_rounds = setting_idx == 8
-    assert len(transcript.sifted_key_alice) == int(key_rounds.sum())
+    alice_key, bob_key, eve_key = sifted_keys(columns)
+    assert alice_key == transcript.sifted_key_alice
+    assert len(alice_key) == len(bob_key) == len(eve_key) == int(key_rounds.sum())
     # eve fields exist exactly on the key rounds
     assert np.array_equal(eve_sub >= 0, key_rounds)
     assert np.array_equal(eve_guess >= 0, key_rounds)
 
-    assert sifted_keys(transcript) == (
-        transcript.sifted_key_alice,
-        transcript.sifted_key_bob,
-        transcript.sifted_key_eve,
-    )
 
-
-def test_attack_statistics_match_theory():
+def test_attack_statistics_match_theory(tmp_path):
     params = AttackParams(f=0.9, lam=0.8)
     config = SimConfig(trials=100_000, seed=1, attack=params)
-    transcript = run(config)
+    transcript, columns = _read_written(config, tmp_path)
+    alice_key, _, eve_key = sifted_keys(columns)
+    assert alice_key == transcript.sifted_key_alice
 
-    n_sift = len(transcript.sifted_key_alice)
+    n_sift = len(alice_key)
     e_ab = ab_error(params)
     sigma = np.sqrt(e_ab * (1 - e_ab) / n_sift)
     assert abs(transcript.qber - e_ab) < 3 * sigma
 
     # eve's subspace frequencies follow the projection probabilities
     sub = subspace_analysis(params)
-    subspaces = transcript.columns[3][transcript.columns[3] >= 0]
+    subspaces = columns[3][columns[3] >= 0]
     for grp in range(3):
         p = sub.p[grp]
         freq = np.mean(subspaces == grp)
         assert abs(freq - p) < 3 * np.sqrt(p * (1 - p) / n_sift)
 
     # eve's key agrees with alice's at rate 1 - eve_error
-    alice = np.frombuffer(transcript.sifted_key_alice.encode(), dtype=np.uint8)
-    eve = np.frombuffer(transcript.sifted_key_eve.encode(), dtype=np.uint8)
+    alice = np.frombuffer(alice_key.encode(), dtype=np.uint8)
+    eve = np.frombuffer(eve_key.encode(), dtype=np.uint8)
     match = np.mean(alice == eve)
     expected = 1.0 - eve_error(params)
     assert abs(match - expected) < 3 * np.sqrt(expected * (1 - expected) / n_sift)
@@ -282,13 +281,15 @@ def test_attack_statistics_match_theory():
     assert not transcript.aborted
 
 
-def test_undisturbed_attack_is_invisible_but_uninformative():
+def test_undisturbed_attack_is_invisible_but_uninformative(tmp_path):
     config = SimConfig(trials=40_000, seed=77, attack=AttackParams(f=1.0, lam=1.0))
-    transcript = run(config)
+    transcript, columns = _read_written(config, tmp_path)
     assert transcript.qber == 0.0
     assert not transcript.aborted
-    alice = np.frombuffer(transcript.sifted_key_alice.encode(), dtype=np.uint8)
-    eve = np.frombuffer(transcript.sifted_key_eve.encode(), dtype=np.uint8)
+    alice_key, _, eve_key = sifted_keys(columns)
+    assert alice_key == transcript.sifted_key_alice
+    alice = np.frombuffer(alice_key.encode(), dtype=np.uint8)
+    eve = np.frombuffer(eve_key.encode(), dtype=np.uint8)
     match = np.mean(alice == eve)
     n = len(alice)
     assert abs(match - 1 / 3) < 3 * np.sqrt((1 / 3) * (2 / 3) / n)
@@ -339,10 +340,13 @@ def test_missing_groups_are_unavailable_not_errors():
 
 def test_extract_key_remaps():
     # on a strictly correlated round Bob's outcome b names Alice's symbol
-    for a, b in SUBSPACE_PAIRS[0]:
-        assert _BOB_KEY_TRIT[b] == a
+    a, b = np.transpose(SUBSPACE_PAIRS[0])
+    absent = np.full(3, -1)
+    assert sifted_keys([np.full(3, 8), a, b, absent, absent]) == ("012", "012", None)
     # guesses name pairs (1,2), (1,1), (0,1): alice symbols 1, 1, 0
-    assert (_EVE_TRIT[0, 1], _EVE_TRIT[1, 0], _EVE_TRIT[2, 2]) == (1, 1, 0)
+    assert (SUBSPACE_PAIRS[0][1], SUBSPACE_PAIRS[1][0], SUBSPACE_PAIRS[2][2]) == ((1, 2), (1, 1), (0, 1))
+    sub, guess = [0, 1, 2], [1, 0, 2]
+    assert sifted_keys([np.full(3, 8), np.zeros(3, int), np.zeros(3, int), sub, guess])[2] == "110"
 
 
 @pytest.mark.parametrize("attack", [None, AttackParams(f=0.9, lam=0.8)])
@@ -427,7 +431,8 @@ def test_serialization_round_trip(tmp_path):
     assert len(lines) == 201
     first = lines[1].split("\t")
     assert first[0] == "0"
-    assert first[1] == str(transcript.columns[0][0] // 3 + 1)
+    reference = reference_shard(config, 0, config.trials, *_sampling_tables(config))
+    assert first[1] == str(reference[0][0] // 3 + 1)
 
     import json
 
@@ -442,10 +447,10 @@ def test_serialization_round_trip(tmp_path):
     assert t_path.read_bytes() == blob
 
 
-def _line_by_line_transcript(transcript) -> bytes:
-    """The transcript format, one f-string per trial."""
+def _line_by_line_transcript(columns) -> bytes:
+    """The transcript format of (5, trials) columns, one f-string per trial."""
     lines = ["# trial\talice_setting\tbob_setting\talice_outcome\tbob_outcome\teve_subspace\teve_guess"]
-    for i, (pair, a, b, sub, guess) in enumerate(transcript.columns.T.tolist()):
+    for i, (pair, a, b, sub, guess) in enumerate(np.transpose(columns).tolist()):
         lines.append(
             f"{i}\t{pair // 3 + 1}\t{pair % 3 + 1}\t{a}\t{b}"
             f"\t{sub if sub >= 0 else '-'}\t{guess if guess >= 0 else '-'}"
@@ -457,7 +462,7 @@ def _line_by_line_transcript(transcript) -> bytes:
 @pytest.mark.parametrize("attack", [None, AttackParams(f=0.9, lam=0.8)], ids=["honest", "attack"])
 def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeypatch):
     config = SimConfig(trials=trials, seed=13, attack=attack)
-    expected = _line_by_line_transcript(run(config))
+    expected = _line_by_line_transcript(reference_shard(config, 0, trials, *_sampling_tables(config)))
     path = tmp_path / "transcript.tsv"
     write_transcript(config, path)
     assert path.read_bytes() == expected
@@ -470,6 +475,20 @@ def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeyp
     monkeypatch.setattr(tritkd.simulate.os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:5], offset))
     write_transcript(config, path, workers=2)
     assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("trials", [1, 9, 10, 10_001, 30_000])
+@pytest.mark.parametrize(
+    "attack", [None, AttackParams(f=0.9, lam=0.8), AttackParams(f=0.5, lam=-0.5)], ids=["honest", "attack", "lam-edge"]
+)
+def test_transcript_reader_matches_reference(trials, attack, tmp_path):
+    # the per-trial record the file holds is the one-pass reference sampler's, on two workers
+    config = SimConfig(trials=trials, seed=21, attack=attack)
+    path = tmp_path / "transcript.tsv"
+    write_transcript(config, path, workers=2)
+    columns = read_transcript(path)
+    assert columns.dtype == np.int8 and columns.shape == (5, trials)
+    assert np.array_equal(columns, reference_shard(config, 0, trials, *_sampling_tables(config)))
 
 
 def test_line_offset_closed_form():
@@ -805,9 +824,9 @@ def test_count_table_is_the_summary(trials, seed, attack, parts, workers, block)
         transcript = run(config, workers=workers)
         blob, written = _transcript_bytes(config, Path(tmp) / "transcript.tsv", workers)
 
-    # the serial run's columns, replayed; the sharded run's, as written
-    columns = reference.columns
-    assert blob == _line_by_line_transcript(reference)
+    # the one-pass reference sampler's columns; the sharded run's, as written
+    columns = np.stack(reference_shard(config, 0, trials, *_sampling_tables(config)))
+    assert blob == _line_by_line_transcript(columns)
     newlines = np.flatnonzero(np.frombuffer(blob, dtype=np.uint8) == ord("\n"))
     assert np.array_equal(newlines[:-1] + 1, [_line_offset(i) for i in range(trials)])
 

@@ -319,6 +319,23 @@ def test_crossover_rejects_bad_tolerance():
 
 
 @pytest.mark.parametrize("log_base", [2.0, np.e, 3.0])
+def test_crossover_stops_at_the_rounding_floor(log_base, monkeypatch):
+    # 1e-16 is below one ulp of v* (1.1e-16): once no double lies inside the bracket the search
+    # gives up, after a few steps rather than a fixed cap of them
+    calls = []
+    best_gap = tritkd.sweep._best_gap
+
+    def counting_best_gap(*args):
+        calls.append(args)
+        return best_gap(*args)
+
+    monkeypatch.setattr(tritkd.sweep, "_best_gap", counting_best_gap)
+    with pytest.raises(ValueError, match="not reached"):
+        find_crossover(tolerance=1e-16, log_base=log_base)
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("log_base", [2.0, np.e, 3.0])
 def test_crossover_fine_tolerance_hits_reference(log_base):
     result = find_crossover(tolerance=1e-10, log_base=log_base)
     assert abs(result.v_max - 0.6629132985) <= 1e-8
