@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import tensor, tritter_unitary, vectors_from_gram
+from .quantum import tensor, tritter_unitary
 
 # Outcome pairs under the key settings, grouped by the ancilla subspace they
 # select.  Group 0 is the correct-key group; 1 and 2 are the two wrong-key
@@ -76,10 +76,11 @@ def build_ancilla_states(params: AttackParams) -> dict[tuple[int, int], np.ndarr
     the remaining standard basis vectors, so they are orthonormal and
     orthogonal to the matched block.
     """
-    gram = np.full((3, 3), complex(params.lam))
-    np.fill_diagonal(gram, 1.0)
+    lam = float(params.lam)
+    a, b = np.sqrt(1.0 - lam), np.sqrt(1.0 + 2.0 * lam)
     rows = np.zeros((9, 9), dtype=complex)
-    rows[:3, :3] = vectors_from_gram(gram)
+    # PSD root of the Gram (1 - lam) I + lam J, since J @ J = 3 J: eigenvalues 1 - lam (twice), 1 + 2 lam on (1, 1, 1)
+    rows[:3, :3] = a * np.eye(3) + (b - a) / 3.0
     rows[3:, 3:] = np.eye(6)
     return dict(zip(_PAIRS, rows))
 

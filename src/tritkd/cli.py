@@ -110,10 +110,8 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.honest == (args.f is not None or args.lam is not None):
+    if (args.f is None, args.lam is None) != (args.honest, args.honest):
         raise ValueError("choose either --honest or both --f and --lam")
-    if not args.honest and (args.f is None or args.lam is None):
-        raise ValueError("attack source needs both --f and --lam")
     attack = None if args.honest else AttackParams(f=args.f, lam=args.lam)
     weights = None if args.weights is None else tuple(float(p) for p in args.weights.split(","))
     config = SimConfig(trials=args.trials, seed=args.seed, attack=attack, setting_weights=weights)

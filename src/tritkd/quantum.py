@@ -1,8 +1,8 @@
-"""Dense complex linear algebra for small qutrit systems.
+"""The optics of the qutrit protocol: tritters, settings and the source state.
 
-Everything here works on plain numpy arrays: state vectors are flat complex
-vectors (a two-qutrit ket |ab> sits at index 3a+b), operators are square
-complex matrices. All functions are pure and inputs are never mutated.
+State vectors are flat complex numpy vectors (a two-qutrit ket |ab> sits at
+index 3a+b), and tensor builds two-qutrit products.  All functions are pure
+and inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -11,12 +11,6 @@ import numpy as np
 
 # Primitive cube root of unity; the outcome value attached to detector k is ALPHA**k.
 ALPHA = np.exp(2j * np.pi / 3)
-
-_HERMITIAN_ATOL = 1e-10
-
-
-class InfeasibleGramError(ValueError):
-    """Requested Gram matrix is not positive semidefinite."""
 
 
 def _check_phases(phases) -> np.ndarray:
@@ -72,34 +66,3 @@ def max_entangled_state() -> np.ndarray:
 def tensor(a, b) -> np.ndarray:
     """Tensor (Kronecker) product; composite index = index(a)*dim(b) + index(b)."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def _hermitian_eigh(m, noun: str) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a square Hermitian matrix; noun names it in the error messages."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square {noun}, got shape {m.shape}")
-    if not np.allclose(m, m.conj().T, atol=_HERMITIAN_ATOL, rtol=0.0):
-        raise ValueError(f"{noun} is not Hermitian")
-    return np.linalg.eigh(m)
-
-
-def vectors_from_gram(gram) -> list[np.ndarray]:
-    """Realize unit-or-not vectors with a prescribed Hermitian PSD Gram matrix.
-
-    Uses the PSD square root, so vector i is column i of gram**(1/2) and every
-    pairwise inner product <v_i|v_j> reproduces gram[i, j].  Any realization
-    with the same Gram is equivalent for observable quantities; this one
-    treats the vectors symmetrically.
-    """
-    vals, vecs = _hermitian_eigh(gram, "Gram matrix")
-    if vals.min() < -1e-10:
-        raise InfeasibleGramError(
-            f"Gram matrix has negative eigenvalue {vals.min():.3e}"
-        )
-    # Zero out rank-cutoff eigenvalues so degenerate Grams (e.g. all-ones)
-    # don't leak sqrt(eps)-size noise into the realized vectors.
-    cutoff = 1e-12 * max(float(vals.max()), np.finfo(float).tiny)
-    vals = np.where(vals > cutoff, vals, 0.0)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return [root[:, i].copy() for i in range(len(vals))]

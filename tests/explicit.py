@@ -3,6 +3,8 @@
 No command runs these: the library computes every result from closed forms
 in (f, lam) and from the white-noise outcome tables.  Here the same
 quantities are built the long way, for the tests to hold the library to:
+the Hermitian eigendecomposition and the general Gram realisation built on
+it (the library roots its one ancilla Gram in closed form),
 the noise-mixture decomposition of the reduced Alice-Bob state and its
 assembly as a 9x9 density matrix, the reduced state traced out of Eve's
 81-dimensional tripartite state, the square-root-measurement directions,
@@ -18,13 +20,50 @@ import numpy as np
 
 from tritkd.attack import SUBSPACE_PAIRS, AttackParams, build_tripartite
 from tritkd.correlations import _OUTCOME_PHASE
-from tritkd.quantum import ALPHA, _hermitian_eigh, max_entangled_state
+from tritkd.quantum import ALPHA, max_entangled_state
+
+_HERMITIAN_ATOL = 1e-10
 
 # Slot of each outcome 3a + b within its SUBSPACE_PAIRS group.
 _SLOT_OF_FLAT = np.zeros(9, dtype=np.int8)
 for _pairs in SUBSPACE_PAIRS:
     for _slot, (_a, _b) in enumerate(_pairs):
         _SLOT_OF_FLAT[3 * _a + _b] = _slot
+
+
+class InfeasibleGramError(ValueError):
+    """Requested Gram matrix is not positive semidefinite."""
+
+
+def _hermitian_eigh(m, noun: str) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a square Hermitian matrix; noun names it in the error messages."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square {noun}, got shape {m.shape}")
+    if not np.allclose(m, m.conj().T, atol=_HERMITIAN_ATOL, rtol=0.0):
+        raise ValueError(f"{noun} is not Hermitian")
+    return np.linalg.eigh(m)
+
+
+def vectors_from_gram(gram) -> list[np.ndarray]:
+    """Realize unit-or-not vectors with a prescribed Hermitian PSD Gram matrix.
+
+    Uses the PSD square root, so vector i is column i of gram**(1/2) and every
+    pairwise inner product <v_i|v_j> reproduces gram[i, j].  Any realization
+    with the same Gram is equivalent for observable quantities; this one
+    treats the vectors symmetrically.
+    """
+    vals, vecs = _hermitian_eigh(gram, "Gram matrix")
+    if vals.min() < -1e-10:
+        raise InfeasibleGramError(
+            f"Gram matrix has negative eigenvalue {vals.min():.3e}"
+        )
+    # Zero out rank-cutoff eigenvalues so degenerate Grams (e.g. all-ones)
+    # don't leak sqrt(eps)-size noise into the realized vectors.
+    cutoff = 1e-12 * max(float(vals.max()), np.finfo(float).tiny)
+    vals = np.where(vals > cutoff, vals, 0.0)
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return [root[:, i].copy() for i in range(len(vals))]
 
 
 def chi_state(k: int) -> np.ndarray:

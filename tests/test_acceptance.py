@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from explicit import correlation_q, srm_directions
+from explicit import correlation_q, srm_directions, vectors_from_gram
 from oracles import (
     ab_joint_table_explicit,
     eve_joint_table_explicit,
@@ -36,7 +36,7 @@ from tritkd.correlations import (
     correlation_q_closed,
     joint_probs,
 )
-from tritkd.quantum import max_entangled_state, standard_settings, tritter_unitary, vectors_from_gram
+from tritkd.quantum import max_entangled_state, standard_settings, tritter_unitary
 from tritkd.simulate import SimConfig, run
 from tritkd.sweep import find_crossover
 
@@ -112,7 +112,7 @@ def test_criterion_5_error_rates():
     for f, lam, seed in points:
         params = AttackParams(f=f, lam=lam)
         transcript = run(SimConfig(trials=100_000, seed=seed, attack=params))
-        n = len(transcript.sifted_key_alice)
+        n = transcript.sifted_length
         expected = ab_error(params)
         sigma = np.sqrt(expected * (1.0 - expected) / n)
         dev = abs(transcript.qber - expected)

@@ -12,6 +12,7 @@ from explicit import (
     reduced_density,
     srm_directions,
     trace_out_ancilla,
+    vectors_from_gram,
 )
 from oracles import (
     ab_joint_table_explicit,
@@ -37,7 +38,7 @@ from tritkd.attack import (
     transformed_tripartite,
 )
 from tritkd.correlations import CRITICAL_VISIBILITY, correlation_q_closed
-from tritkd.quantum import max_entangled_state, standard_settings, vectors_from_gram
+from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import _GROUP_OF_FLAT
 
 
@@ -110,6 +111,16 @@ def test_ancilla_states_identical_at_full_overlap():
     states = build_ancilla_states(AttackParams(f=0.5, lam=1.0))
     assert np.abs(states[(0, 0)] - states[(1, 1)]).max() < 1e-10
     assert np.abs(states[(0, 0)] - states[(2, 2)]).max() < 1e-10
+
+
+@pytest.mark.parametrize("lam", [-0.5, -0.2, 0.0, 0.3, 0.5, 0.9, 1.0])
+def test_ancilla_closed_form_matches_general_gram_root(lam):
+    # at the endpoints the general routine zeroes a rank-cutoff eigenvalue; the closed form has a or b = 0
+    gram = np.full((3, 3), complex(lam))
+    np.fill_diagonal(gram, 1.0)
+    states = build_ancilla_states(AttackParams(f=0.5, lam=lam))
+    matched = np.array([states[(k, k)][:3] for k in range(3)])
+    assert np.abs(matched - np.array(vectors_from_gram(gram))).max() < 1e-14
 
 
 def test_ancilla_matched_block_overlap():

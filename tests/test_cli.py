@@ -425,6 +425,8 @@ def test_simulate_without_bell_evidence_aborts():
 def test_simulate_flag_validation():
     assert tritkd("simulate", "--trials", "10", "--seed", "1").returncode == 2
     assert tritkd("simulate", "--trials", "10", "--seed", "1", "--f", "0.5").returncode == 2
+    assert tritkd("simulate", "--trials", "10", "--seed", "1", "--lam", "0.5").returncode == 2
+    assert tritkd("simulate", "--trials", "10", "--seed", "1", "--honest", "--f", "0.5").returncode == 2
     assert (
         tritkd("simulate", "--trials", "10", "--seed", "1", "--honest", "--f", "1", "--lam", "1").returncode
         == 2

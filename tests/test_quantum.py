@@ -3,16 +3,8 @@
 import numpy as np
 import pytest
 
-from explicit import chi_state, inv_sqrt, trace_out_ancilla
-from tritkd.quantum import (
-    ALPHA,
-    InfeasibleGramError,
-    max_entangled_state,
-    standard_settings,
-    tensor,
-    tritter_unitary,
-    vectors_from_gram,
-)
+from explicit import InfeasibleGramError, chi_state, inv_sqrt, trace_out_ancilla, vectors_from_gram
+from tritkd.quantum import ALPHA, max_entangled_state, standard_settings, tensor, tritter_unitary
 
 
 def test_tritter_zero_phases_entries():

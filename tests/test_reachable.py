@@ -2,7 +2,7 @@
 
 Code that only the tests call lives under tests/, as the explicit-state
 references of tests/explicit.py do; this guard names any library definition
-that nothing else in src/tritkd refers to.
+that nothing else in src/tritkd refers to, and any import a module never uses.
 """
 
 import ast
@@ -36,4 +36,20 @@ def test_every_library_definition_is_used_by_the_library():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and used[node.name] == _names(node)[node.name]
     ]
+    assert unused == []
+
+
+def test_every_library_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source, path.name)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}:{name}")
     assert unused == []

@@ -329,11 +329,11 @@ def test_missing_groups_are_unavailable_not_errors():
     # no Bell evidence, no key: the run fails closed
     assert transcript.aborted
     assert "unavailable" in transcript.abort_reason
-    assert len(transcript.sifted_key_alice) == 500
+    assert transcript.sifted_length == 500
 
     only_test = (0.25, 0.25, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0)
     transcript = run(SimConfig(trials=500, seed=11, setting_weights=only_test))
-    assert transcript.sifted_key_alice == ""
+    assert transcript.sifted_length == 0
     assert transcript.qber is None
     assert transcript.s_estimate is not None
 
@@ -438,7 +438,7 @@ def test_serialization_round_trip(tmp_path):
 
     summary = json.loads(s_path.read_text())
     assert summary["qber"] == transcript.qber
-    assert summary["sifted_length"] == len(transcript.sifted_key_alice)
+    assert summary["sifted_length"] == len(sifted_keys(read_transcript(t_path))[0])
     assert summary == summary_dict(config, transcript)
 
     # rewriting is byte-identical
