@@ -98,7 +98,14 @@ def cmd_sweep(args) -> int:
         f"lam in [{l_lo:.9g}, {l_hi:.9g}], log base {args.log_base:.9g}",
         *notes,
     ]
-    Path(args.out).write_text(format_csv(rows, comments), encoding="ascii")
+    text = format_csv(rows, comments)
+    fh = open(args.out, "w", encoding="ascii")
+    try:
+        with fh:
+            fh.write(text)
+    except BaseException:  # no truncated CSV is left; a failed open removes nothing
+        Path(args.out).unlink()
+        raise
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

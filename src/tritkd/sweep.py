@@ -49,15 +49,15 @@ _POW10 = np.array([float(10**k) for k in range(25)])
 _GRID = 201
 _F_SPACING = 1e-8
 _ZOOMS = math.ceil(math.log(1.0 / (_GRID - 1) / _F_SPACING, (_GRID - 1) / 2))
-# find_crossover's bracket scan: on its fixed v grid a one-pass _SCAN_GRID-point maximum falls
-# at most 5.3e-4 nats short of _best_gap, while |gap| >= 3.6e-3, so their signs agree.
-_SCAN_GRID = 51
+# find_crossover's bracket: points 130 and 131 of np.linspace(0.01, 0.999, 199), no input moves
+# them; test_bracket_equals_full_scan certifies them as _best_gap's last sign change on that grid.
+_BRACKET = (0.6593434343434343, 0.6643383838383838)
 
 
 @dataclass(frozen=True)
 class CrossoverResult:
     """Largest visibility at which the eavesdropper matches the parties' information, and how
-    the search ended: steps after the coarse scan, final bracket width, gap at v_max."""
+    the search ended: steps from the fixed bracket, final bracket width, gap at v_max."""
 
     v_max: float
     argmax_f: float
@@ -199,32 +199,32 @@ def format_csv(rows, comments=()) -> str:
     return "".join(parts)
 
 
-def _best_gap(v, grid: int = _GRID, zooms: int = _ZOOMS) -> tuple[np.ndarray, np.ndarray]:
+def _best_gap(v) -> tuple[np.ndarray, np.ndarray]:
     """(max, argmax f) of I_AE - I_AB in nats over the contour f*lam = v, for each v of a 1-D array.
 
-    A grid of grid points in f is zoomed zooms times onto its best point's neighbours; I_AB,
+    A grid of _GRID points in f is zoomed _ZOOMS times onto its best point's neighbours; I_AB,
     a function of v alone, is evaluated once, outside.
     """
     v = np.asarray(v, dtype=float)
     rows = np.arange(len(v))
     lo, hi = np.maximum(v, 1e-9), np.ones_like(v)  # lam = v/f must stay <= 1
-    for _ in range(zooms + 1):
-        f = np.linspace(lo, hi, grid, axis=-1)
+    for _ in range(_ZOOMS + 1):
+        f = np.linspace(lo, hi, _GRID, axis=-1)
         i_ae = mutual_info_ae(AttackParams(f=f, lam=v[:, None] / f), np.e)
         i = np.argmax(i_ae, axis=-1)
-        lo, hi = f[rows, np.maximum(i - 1, 0)], f[rows, np.minimum(i + 1, grid - 1)]
+        lo, hi = f[rows, np.maximum(i - 1, 0)], f[rows, np.minimum(i + 1, _GRID - 1)]
     return i_ae[rows, i] - mutual_info_ab(AttackParams(f=1.0, lam=v), np.e), f[rows, i]
 
 
 def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverResult:
     """Largest visibility v = f*lam at which I_AE can still reach I_AB.
 
-    A coarse scan over v (_bracket) brackets the last sign change of the contour-maximized
-    information gap; each step evaluates two points that straddle the predicted root and keeps
-    gap(lo) >= 0 > gap(hi), until the bracket is narrower than tolerance and the gap at the
-    result is within tolerance (in the given log base; the location is base-independent).
-    Raises ValueError for a tolerance that is not finite and positive or that the search cannot
-    reach, or a log_base not finite and > 1, and RuntimeError where _bracket finds no sign change.
+    The fixed _BRACKET holds the last sign change of the contour-maximized information gap; each
+    step evaluates two points that straddle the predicted root and keeps gap(lo) >= 0 > gap(hi),
+    until the bracket is narrower than tolerance and the gap at the result is within tolerance
+    (in the given log base; the location is base-independent).  Raises ValueError for a tolerance
+    that is not finite and positive or that the search cannot reach, or a log_base not finite
+    and > 1, and RuntimeError where the gap does not change sign across _BRACKET.
     The search covers v > 0.01 and compares informations only, as sweep_rows' secure does.
     """
     if not (np.isfinite(tolerance) and tolerance > 0.0):
@@ -234,15 +234,9 @@ def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverR
 
 
 def _bracket() -> tuple[float, float, float, float]:
-    """(lo, hi, gap(lo), gap(hi)) of _best_gap around its last sign change on a fixed v grid:
-    located by a one-pass _SCAN_GRID-point scan, confirmed by _best_gap at both ends."""
-    vs = np.linspace(0.01, 0.999, 199)
-    rough = _best_gap(vs, _SCAN_GRID, 0)[0]
-    crossings = np.nonzero((rough[:-1] >= 0.0) & (rough[1:] < 0.0))[0]
-    if crossings.size == 0:
-        raise RuntimeError("no sign change of the information gap found")
-    lo, hi = (float(v) for v in vs[crossings[-1] : crossings[-1] + 2])
-    g_lo, g_hi = (float(g) for g in _best_gap(np.array([lo, hi]))[0])
+    """(lo, hi, gap(lo), gap(hi)) of _best_gap at _BRACKET's ends, about +0.0089 and -0.0036 nats."""
+    lo, hi = _BRACKET
+    g_lo, g_hi = (float(g) for g in _best_gap(np.array(_BRACKET))[0])
     if not g_lo >= 0.0 > g_hi:
         raise RuntimeError(f"the information gap does not change sign between v = {lo!r} and {hi!r}")
     return lo, hi, g_lo, g_hi

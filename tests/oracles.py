@@ -11,7 +11,7 @@ behind the count-table one.  Three references hold the crossover search:
 reference_best_gap, a deep zoom along each contour behind the shallow one;
 decimal_max_gap, the closed forms written out again in 40-digit decimal
 arithmetic and maximised by golden section; and reference_find_crossover,
-bracketed by the fully zoomed scan behind the one-pass bracket scan.
+bracketed by the fully zoomed scan behind the fixed bracket.
 reference_format_csv, one '%.9g' template per row, is the text the
 table-driven CSV renderer must match.  read_transcript reads the per-trial
 record back from the transcript file the CLI writes.  LOCAL_MODEL_AT_V0 is a pinned local

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -324,6 +325,20 @@ def test_sweep_unwritable_path_is_io_error(tmp_path):
     assert result.stderr
 
 
+def test_sweep_failed_write_leaves_no_file(tmp_path):
+    # a file size limit of 64 KiB cuts the 100x100 CSV mid-row; the partial file is removed
+    out = tmp_path / "part.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "tritkd", "sweep", "--steps", "100", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (65536, 65536)),
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: [Errno 27] File too large\n"
+    assert not out.exists()
+
+
 # SHA-256 of `sweep` CSVs: the default grid, a benchmark-sized grid in base 2,
 # and a clipped grid in base e; a rewrite of the formatter must keep them.
 GOLDEN_SWEEPS = [
@@ -366,6 +381,22 @@ def test_crossover_base_invariant():
     base3 = json.loads(tritkd("crossover").stdout)
     base2 = json.loads(tritkd("crossover", "--log-base", "2").stdout)
     assert abs(base3["v_max"] - base2["v_max"]) < 2e-6
+
+
+# SHA-256 of `crossover --tolerance 1e-10` stdout in three log bases; a rewrite of the
+# bracket or of the search must keep them.
+GOLDEN_CROSSOVERS = {
+    "2": "51eb590e4ac72cf5e574f6f8fe4acdee8972f37451648df5a84bf4696084ab13",
+    "2.718281828459045": "deba00f5699440d6e069709f5e2bafde6a48f79119daecb405e02bd25c437fc6",
+    "3": "8d7934fb54baca1499cd62d7f68cac13e69d8bac192463014b9058ad753a2c14",
+}
+
+
+@pytest.mark.parametrize("log_base", sorted(GOLDEN_CROSSOVERS))
+def test_crossover_reproducible_bytes(log_base):
+    result = tritkd("crossover", "--tolerance", "1e-10", "--log-base", log_base)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == GOLDEN_CROSSOVERS[log_base]
 
 
 # SHA-256 of (transcript.tsv, summary.json) for `simulate --trials 20000
@@ -616,22 +647,19 @@ def test_simulate_out_without_pwrite_is_io_error(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "fault, message",
-    [
-        ("scan", r"no sign change of the information gap found"),
-        ("confirmation", r"the information gap does not change sign between v = 0\.6\d+ and 0\.6\d+"),
-    ],
-    ids=["scan", "confirmation"],
+    "message",
+    [r"the information gap does not change sign between v = 0\.6\d+ and 0\.6\d+"],
+    ids=["confirmation"],
 )
-def test_crossover_without_bracket_is_runtime_error(monkeypatch, capsys, fault, message):
-    # the gap read as nonnegative everywhere, by the bracket scan or only by its confirmation
+def test_crossover_without_bracket_is_runtime_error(monkeypatch, capsys, message):
+    # the gap read as nonnegative everywhere, so the fixed bracket's confirmation fails
     import tritkd.sweep
 
     best_gap = tritkd.sweep._best_gap
 
-    def no_sign_change(v, *scan):
-        gap, f = best_gap(v, *scan)
-        return (np.abs(gap) if fault == "scan" or not scan else gap), f
+    def no_sign_change(v):
+        gap, f = best_gap(v)
+        return np.abs(gap), f
 
     monkeypatch.setattr(tritkd.sweep, "_best_gap", no_sign_change)
     assert cli.main(["crossover"]) == 1

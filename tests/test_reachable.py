@@ -2,7 +2,8 @@
 
 Code that only the tests call lives under tests/, as the explicit-state
 references of tests/explicit.py do; this guard names any library definition
-that nothing else in src/tritkd refers to, and any import a module never uses.
+that nothing else in src/tritkd refers to, any import a module never uses, and any
+private module constant the package never reads.
 """
 
 import ast
@@ -53,3 +54,24 @@ def test_every_library_import_is_used():
                 if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}:{name}")
     assert unused == []
+
+
+def test_every_private_constant_is_read():
+    # a top-level `_name = ...` that no module reads is dead; public constants are API and exempt
+    trees = {path.name: ast.parse(path.read_text(), path.name) for path in sorted(SRC.glob("*.py"))}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}:{name.lineno}:{name.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+        and name.id.startswith("_") and not name.id.startswith("__") and name.id not in read
+    ]
+    assert unread == []
