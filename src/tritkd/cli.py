@@ -25,7 +25,7 @@ from .correlations import (
     correlation_q_closed,
 )
 from .quantum import standard_settings
-from .simulate import SimConfig, run, summary_dict, write_summary, write_transcript
+from .simulate import SimConfig, _discard, _output_file, run, summary_dict, write_summary, write_transcript
 from .sweep import find_crossover, format_csv, sweep_rows
 
 
@@ -88,25 +88,23 @@ def cmd_sweep(args) -> int:
     notes = []
     f_lo, f_hi = _clip_range(args.f_min, args.f_max, F_DOMAIN, "f", notes)
     l_lo, l_hi = _clip_range(args.lam_min, args.lam_max, LAM_DOMAIN, "lam", notes)
-    if not 1 <= args.steps < 2**30:  # beyond, a steps x steps float grid exceeds numpy's 2**63-byte limit
+    if not 1 <= args.steps < 2**30:  # from 2**30: 2**60 points, and 8 GiB per array of a one-f-row block
         raise ValueError(f"--steps must be >= 1 and below 2**30, got {args.steps}")
 
     f_values, lam_values = np.linspace(f_lo, f_hi, args.steps), np.linspace(l_lo, l_hi, args.steps)
-    rows = sweep_rows(f_values, lam_values, log_base=args.log_base)
+    block = max(1, 2**16 // args.steps)  # f values per block: at most 2**16 rows, or one f row
     comments = [
         f"attack sweep: {args.steps}x{args.steps} grid, f in [{f_lo:.9g}, {f_hi:.9g}], "
         f"lam in [{l_lo:.9g}, {l_hi:.9g}], log base {args.log_base:.9g}",
         *notes,
     ]
-    text = format_csv(rows, comments)
-    fh = open(args.out, "w", encoding="ascii")
-    try:
-        with fh:
-            fh.write(text)
-    except BaseException:  # no truncated CSV is left; a failed open removes nothing
-        Path(args.out).unlink()
-        raise
-    print(f"wrote {len(rows)} rows to {args.out}")
+    text = format_csv(sweep_rows(f_values[:block], lam_values, log_base=args.log_base), comments)
+    with _output_file(args.out, "w", encoding="ascii") as fh:  # after the first block: a bad --log-base opens nothing
+        fh.write(text)
+        for start in range(block, args.steps, block):
+            text = format_csv(sweep_rows(f_values[start : start + block], lam_values, log_base=args.log_base))
+            fh.write(text.partition("\n")[2])  # without the header line
+    print(f"wrote {args.steps**2} rows to {args.out}")
     return 0
 
 
@@ -132,9 +130,9 @@ def cmd_simulate(args) -> int:
         try:
             transcript = write_transcript(config, out_dir / "transcript.tsv", workers=args.workers)
             write_summary(config, transcript, out_dir / "summary.json")
-        except BaseException:  # leave nothing new; a failed write_transcript removes its own file
+        except BaseException:  # leave nothing new; a failed write_transcript discards its own file
             if transcript is not None:
-                (out_dir / "transcript.tsv").unlink()
+                _discard(out_dir / "transcript.tsv")
             for made_dir in made:
                 if any(made_dir.iterdir()):
                     break

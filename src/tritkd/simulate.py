@@ -10,6 +10,7 @@ single-threaded stream bit for bit, and any trial range can be replayed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import operator
@@ -302,7 +303,7 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     try:
         for thread in threads:
             thread.start()
-    finally:  # an unstarted thread is not alive; write_transcript unlinks only after the last write
+    finally:  # an unstarted thread is not alive; write_transcript discards only after the last write
         for thread in filter(threading.Thread.is_alive, threads):
             thread.join()
     if failures:
@@ -379,20 +380,15 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
 
     Each shard thread writes each of its blocks at its own offset in the file,
     so shards never wait on each other and the bytes do not depend on the
-    worker count.  If the run fails, path is removed before the error propagates.
+    worker count.  If the run fails, _output_file discards path before the error propagates.
     Raises OSError, before creating path, where os.pwrite is missing (not POSIX).
     """
     if not hasattr(os, "pwrite"):
         raise OSError("writing a transcript needs os.pwrite, which this platform lacks")
-    with open(path, "wb") as fh:
-        try:
-            fh.write(TRANSCRIPT_HEADER)
-            fh.flush()
-            return _run(config, workers, functools.partial(_write_lines, fh.fileno()))
-        except BaseException:
-            fh.close()
-            os.unlink(path)
-            raise
+    with _output_file(path, "wb") as fh:
+        fh.write(TRANSCRIPT_HEADER)
+        fh.flush()
+        return _run(config, workers, functools.partial(_write_lines, fh.fileno()))
 
 
 def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
@@ -413,11 +409,23 @@ def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
 
 
 def write_summary(config: SimConfig, transcript: ProtocolTranscript, path) -> None:
-    """summary_dict as JSON in path, which is removed if the write fails once path is open."""
-    fh = open(path, "w", encoding="ascii", newline="\n")
+    """summary_dict as JSON in path, discarded by _output_file if the write or its close fails."""
+    with _output_file(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True) + "\n")
+
+
+@contextlib.contextmanager
+def _output_file(path, mode: str, **kwargs):
+    """open(path, mode, **kwargs) for a with block; _discard(path) if the block or the close fails."""
+    fh = open(path, mode, **kwargs)
     try:
         with fh:
-            fh.write(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True) + "\n")
+            yield fh
     except BaseException:
-        os.unlink(path)
+        _discard(path)
         raise
+
+
+def _discard(path) -> None:
+    if os.path.isfile(path) and not os.path.islink(path):  # never a symlink, a pipe or a device
+        os.unlink(path)

@@ -9,6 +9,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -111,7 +112,7 @@ def test_trials_beyond_int64_is_usage_error(trials):
 
 @pytest.mark.parametrize("steps", [str(2**62), str(2**63), "100000000000000000000"])
 def test_steps_beyond_addressable_grid_is_usage_error(steps, tmp_path):
-    # numpy cannot index a steps x steps grid this large; the sweep must not start
+    # 2**60 grid points or more, 8 GiB or more per array of a one-row block; the sweep must not start
     out = tmp_path / "x.csv"
     result = tritkd("sweep", "--steps", steps, "--out", str(out))
     assert result.returncode == 2
@@ -337,6 +338,42 @@ def test_sweep_failed_write_leaves_no_file(tmp_path):
     assert result.returncode == 1
     assert result.stderr == "error: [Errno 27] File too large\n"
     assert not out.exists()
+
+
+def _with_file_size_limit(limit, *args):
+    """tritkd in a child whose writes beyond limit bytes fail with EFBIG (Errno 27)."""
+    return subprocess.run(
+        [sys.executable, "-m", "tritkd", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+
+
+def test_sweep_failed_write_keeps_a_symlinked_out(tmp_path):
+    # the CSV is cut through the link, in its target; the link is not the run's to remove
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.touch()
+    link.symlink_to(target)
+    result = _with_file_size_limit(65536, "sweep", "--steps", "100", "--out", str(link))
+    assert result.returncode == 1
+    assert result.stderr == "error: [Errno 27] File too large\n"
+    assert link.is_symlink()
+    assert target.is_file()
+
+
+def test_sweep_memory_is_bounded_by_blocks(tmp_path, capsys):
+    # 360 000 rows in blocks of 109 f values; the whole grid at once traced 104.5 MiB
+    cli.main(["sweep", "--steps", "2", "--out", str(tmp_path / "warm.csv")])  # one-time tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["sweep", "--steps", "600", "--out", str(tmp_path / "sweep.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("wrote 360000 rows to " + str(tmp_path / "sweep.csv") + "\n")
+    assert peak <= 40 << 20
 
 
 # SHA-256 of `sweep` CSVs: the default grid, a benchmark-sized grid in base 2,
@@ -614,6 +651,35 @@ def test_failed_simulate_out_leaves_nothing_new(monkeypatch, capsys, tmp_path, f
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_simulate_out_keeps_a_symlinked_transcript(monkeypatch, capsys, tmp_path):
+    # the summary write fails after the transcript went through the link; the link stays
+    def fail(*args, **kwargs):
+        raise OSError("x")
+
+    out, target = tmp_path / "run", tmp_path / "target.tsv"
+    out.mkdir()
+    target.touch()
+    (out / "transcript.tsv").symlink_to(target)
+    monkeypatch.setattr(cli, "write_summary", fail)
+    assert cli.main(["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: x\n"
+    assert (out / "transcript.tsv").is_symlink()
+    assert target.stat().st_size > 0
+
+
+def test_simulate_summary_failing_at_close_leaves_nothing_new(tmp_path):
+    # the 97-byte transcript fits under the limit, the summary's buffered text fails at its
+    # close: both files and the directory go
+    out = tmp_path / "run"
+    result = _with_file_size_limit(
+        200, "simulate", "--trials", "1", "--seed", "1", "--honest", "--out", str(out)
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: [Errno 27] File too large\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("existed", [None, "a"])

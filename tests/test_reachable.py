@@ -3,7 +3,8 @@
 Code that only the tests call lives under tests/, as the explicit-state
 references of tests/explicit.py do; this guard names any library definition
 that nothing else in src/tritkd refers to, any import a module never uses, and any
-private module constant the package never reads.
+private module constant the package never reads, and any file removal outside
+simulate._discard.
 """
 
 import ast
@@ -75,3 +76,17 @@ def test_every_private_constant_is_read():
         and name.id.startswith("_") and not name.id.startswith("__") and name.id not in read
     ]
     assert unread == []
+
+
+def test_only_discard_removes_files():
+    # what a failed write may delete is decided in one place: each unlink or remove call, named
+    # by the top-level definition that holds it, must be the one in simulate._discard
+    calls = [
+        f"{path.name}:{getattr(statement, 'name', '<module>')}"
+        for path in sorted(SRC.glob("*.py"))
+        for statement in ast.parse(path.read_text(), path.name).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"unlink", "remove"}
+    ]
+    assert calls == ["simulate.py:_discard"]

@@ -34,6 +34,7 @@ from tritkd.simulate import (
     _GUIDE_BITS,
     _GUIDE_SHIFT,
     _columns,
+    _discard,
     _eve_codes,
     _guide_table,
     _line_offset,
@@ -192,6 +193,41 @@ def test_failing_shard_is_raised_after_every_shard_stops(monkeypatch, tmp_path):
     assert caught.value is failure
     assert finished == [(0, 200_000)]
     assert not path.exists()
+
+
+def test_failed_write_transcript_keeps_a_symlink_at_path(monkeypatch, tmp_path):
+    # the header went through the link into its target; neither the link nor the target goes
+    target, link = tmp_path / "target.tsv", tmp_path / "transcript.tsv"
+    target.touch()
+    link.symlink_to(target)
+
+    def fail(*args):
+        raise OSError("x")
+
+    monkeypatch.setattr(tritkd.simulate, "_run", fail)
+    with pytest.raises(OSError, match="x"):
+        write_transcript(SimConfig(trials=10, seed=1), link)
+    assert link.is_symlink()
+    assert target.read_bytes() == TRANSCRIPT_HEADER
+
+
+@pytest.mark.parametrize("kind, removed", [
+    ("file", True), ("symlink", False), ("fifo", False), ("directory", False), ("missing", False),
+])
+def test_discard_removes_only_a_regular_file(tmp_path, kind, removed):
+    target, path = tmp_path / "target", tmp_path / "out"
+    target.touch()
+    make = {
+        "file": Path.touch,
+        "symlink": lambda p: p.symlink_to(target),
+        "fifo": os.mkfifo,
+        "directory": Path.mkdir,
+        "missing": lambda p: None,
+    }
+    make[kind](path)
+    _discard(path)
+    assert os.path.lexists(path) == (kind != "missing" and not removed)
+    assert target.is_file()
 
 
 @pytest.mark.parametrize("trials", [3, 7, 2**53 + 1, 2**60 + 1, 2**63 - 1])
