@@ -25,7 +25,7 @@ from .correlations import (
     correlation_q_closed,
 )
 from .quantum import standard_settings
-from .simulate import SimConfig, _discard, _output_file, run, summary_dict, write_summary, write_transcript
+from .simulate import SimConfig, _output_file, _staged, run, summary_dict, write_summary, write_transcript
 from .sweep import find_crossover, format_csv, sweep_rows
 
 
@@ -124,15 +124,14 @@ def cmd_simulate(args) -> int:
     if args.out is None:
         transcript = run(config, workers=args.workers)
     else:
-        out_dir, transcript = Path(args.out), None
+        out_dir = Path(args.out)
         made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
         out_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            transcript = write_transcript(config, out_dir / "transcript.tsv", workers=args.workers)
-            write_summary(config, transcript, out_dir / "summary.json")
-        except BaseException:  # leave nothing new; a failed write_transcript discards its own file
-            if transcript is not None:
-                _discard(out_dir / "transcript.tsv")
+        try:  # both files are replaced only when both writes succeed
+            with _staged(out_dir / "transcript.tsv", out_dir / "summary.json") as (transcript_path, summary_path):
+                transcript = write_transcript(config, transcript_path, workers=args.workers)
+                write_summary(config, transcript, summary_path)
+        except BaseException:  # leave nothing new: the staged files are gone, then the directories made here
             for made_dir in made:
                 if any(made_dir.iterdir()):
                     break

@@ -15,6 +15,8 @@ import functools
 import json
 import operator
 import os
+import stat
+import tempfile
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -39,9 +41,13 @@ _DRAW_SCALE = float(2**53)
 _GUIDE_BITS = 12
 _GUIDE_SHIFT = 53 - _GUIDE_BITS
 
-# Trials per block, so the memory a shard uses does not grow with the run.
-# Shard threads share one process, so their block temporaries add up in its peak.
-_BLOCK_TRIALS = 1 << 16
+# Trials per block, so the memory a shard uses does not grow with the run.  A block's Philox
+# words (32 bytes a trial, 512 KiB) and the shard's reused working arrays (18 bytes a trial, and
+# 16 plus the line width more when writing a transcript) fit in a core's 2 MiB L2 cache.  Shard
+# threads share one process, so their blocks add up in its peak: at 2**16 a shard held 2.5 MiB.
+# The price is time: two shard threads retake the GIL after each numpy call, once per block, so
+# 2**14 samples about 7 % slower than 2**16 on two workers, and 2**13 about 15 % (for 0.1 MiB).
+_BLOCK_TRIALS = 1 << 14
 
 # Group of each outcome 3a + b (intp: it indexes Eve's thresholds).
 # _EVE_CODE[3 * (3a + b) + step] is the Eve code 1 + 3 * group + guess of a guess step slots past it.
@@ -124,7 +130,7 @@ class ProtocolTranscript:
     def sifted_key_alice(self) -> str:
         """Alice's key-round outcomes as digits, from a serial replay that keeps only key rounds."""
         parts = []
-        _run(self.config, 1, lambda start, cell, eve: parts.append((cell[cell >= 72] - 72) // 3))
+        _run(self.config, 1, lambda: lambda start, cell, eve: parts.append((cell[cell >= 72] - 72) // 3))
         return (np.concatenate(parts) + ord("0")).tobytes().decode("ascii")
 
 
@@ -167,28 +173,30 @@ def _guide_table(thresh: np.ndarray, n_buckets: int) -> np.ndarray:
     return guide
 
 
-def _draw(raw: np.ndarray) -> np.ndarray:
-    """raw >> 11 of uint64 Philox words as int64 draws; shifting the int64 view would sign-extend."""
-    return (raw >> 11).view(np.int64)
+def _draw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """raw >> 11 of uint64 Philox words as int64 draws, into the int64 out if given;
+    shifting the int64 view would sign-extend."""
+    return np.right_shift(raw, 11, out=None if out is None else out.view(np.uint64)).view(np.int64)
 
 
-def _lookup(guide: np.ndarray, thresh: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """searchsorted(thresh, key, side="right") as int8: one gather from the guide table by the
-    intp bucket key >> _GUIDE_SHIFT (no index cast), searching only the keys of split buckets."""
-    index = guide[key >> _GUIDE_SHIFT]
-    split = np.flatnonzero(index < 0)
-    index[split] = np.searchsorted(thresh, key[split], side="right")
-    return index
+def _lookup(guide: np.ndarray, thresh: np.ndarray, key: np.ndarray, bucket: np.ndarray, out: np.ndarray):
+    """searchsorted(thresh, key, side="right") into the int8 out: one gather from the guide table
+    by the bucket key >> _GUIDE_SHIFT, shifted into the int64 bucket (intp on 64-bit platforms,
+    so no index cast), searching only the keys of split buckets.  Returns out."""
+    np.take(guide, np.right_shift(key, _GUIDE_SHIFT, out=bucket), out=out, mode="clip")  # "raise" would copy
+    split = np.flatnonzero(out < 0)
+    out[split] = np.searchsorted(thresh, key[split], side="right")
+    return out
 
 
-def _eve_codes(raw: np.ndarray, cell: np.ndarray, eve_thresh: np.ndarray | None) -> np.ndarray:
-    """A block's int8 Eve codes, 1 + 3 * group + guess on key rounds (cells 72 to 80) under
-    attack, else 0; eve_thresh holds Eve's two thresholds by outcome 3a + b, shape (2, 9)."""
-    eve = np.zeros(len(cell), dtype=np.int8)
+def _eve_codes(raw: np.ndarray, cell: np.ndarray, eve_thresh: np.ndarray | None, eve: np.ndarray):
+    """A block's Eve codes into the int8 eve, returned: 1 + 3 * group + guess on key rounds (cells
+    72 to 80) under attack, else 0; eve_thresh holds Eve's two thresholds by outcome 3a + b, shape (2, 9)."""
+    eve.fill(0)
     if eve_thresh is not None:
         key = np.flatnonzero(cell >= 72)
         flat = np.subtract(cell[key], 72, dtype=np.intp)
-        r = _draw(raw[:, 2][key])
+        r = _draw(raw[key, 2])
         # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
         code = 3 * flat
         code += r >= eve_thresh[0][flat]
@@ -209,10 +217,12 @@ def _simulate_shard(
     """Sample trials [lo, hi) as a full run does; return their 81 cell counts.
 
     Works in blocks of at most _BLOCK_TRIALS trials that never straddle a
-    power of ten.  Unless sink is None, it calls sink(start, cell, eve) with
+    power of ten, in working arrays made once for the shard and reused by
+    every block.  Unless sink is None, it calls sink(start, cell, eve) with
     each block's int8 cells and Eve codes (1 + 3 * subspace + guess on key
     rounds under attack, else 0), from which write_transcript looks each
-    line up in tables.  An index counts the integer thresholds its draw
+    line up in tables; both are views of those arrays, overwritten by the
+    next block.  An index counts the integer thresholds its draw
     reaches, found with a guide table with a searchsorted fallback; setting
     s offsets its outcome thresholds by s << 53 in one sorted array, so the
     key (s << 53) + draw gives the trial's cell 9 * setting + 3 * a + b.
@@ -231,23 +241,28 @@ def _simulate_shard(
     from numpy.random import Philox  # here, not on import: bell, sweep and crossover never sample
 
     bit_gen = Philox(key=config.seed).advance(lo)
+    size = min(hi - lo, _BLOCK_TRIALS)
+    # one block's working arrays, made once and reused by every block of the shard: int64 keys,
+    # int64 work (guide buckets, settings << 53, the cells to count), int8 cells and Eve codes
+    keys, works = np.empty((2, size), dtype=np.int64)
+    cells, eves = np.empty((2, size), dtype=np.int8)
     start = lo
     while start < hi:
         stop = min(hi, start + _BLOCK_TRIALS, 10 ** len(str(start)))
         n = stop - start
         # one whole Philox block per trial, so consecutive calls continue the serial stream
         raw = bit_gen.random_raw(_DRAWS_PER_TRIAL * n).reshape(n, _DRAWS_PER_TRIAL)
-        s = _lookup(set_guide, set_thresh, _draw(raw[:, 0]))
-        out_key = np.left_shift(s, 53, dtype=np.int64)
-        out_key += _draw(raw[:, 1])
-        cell = _lookup(out_guide, out_thresh, out_key)
-        counts += np.bincount(cell, minlength=81)
+        key, work, cell = keys[:n], works[:n], cells[:n]
+        s = _lookup(set_guide, set_thresh, _draw(raw[:, 0], key), work, cell)  # in cell until the outcome
+        np.left_shift(s, 53, out=work, dtype=np.int64)
+        _draw(raw[:, 1], key)
+        key += work
+        _lookup(out_guide, out_thresh, key, work, cell)
+        np.copyto(work, cell)  # bincount counts intp: int8 cells would be cast to a temporary
+        counts += np.bincount(work, minlength=81)
         if sink is not None:
-            eve = _eve_codes(raw, cell, eve_thresh)
-            sink(start, cell, eve)
-        # freed before the next block is drawn, so the peak is one block's; eve lives on, since
-        # with all of a sink block free at once malloc trims the heap and refaults it per block
-        del raw, s, out_key, cell
+            sink(start, cell, _eve_codes(raw, cell, eve_thresh, eves[:n]))
+        del raw  # freed before the next block is drawn, so the peak holds one block's words
         start = stop
     return counts
 
@@ -281,8 +296,12 @@ def _sampling_tables(config: SimConfig):
     return cum_settings, cum_tables, eve_w
 
 
-def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
-    """Sample every trial once, on shard threads; see run and write_transcript."""
+def _run(config: SimConfig, workers: int, make_sink) -> ProtocolTranscript:
+    """Sample every trial once, on shard threads; see run and write_transcript.
+
+    Unless make_sink is None, each shard calls it once for a sink of its own,
+    so whatever buffers a sink keeps belong to one thread.
+    """
     if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
 
@@ -295,6 +314,7 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
 
     def shard(lo, hi):
         try:
+            sink = None if make_sink is None else make_sink()
             counts.append(_simulate_shard(config, lo, hi, *tables, sink))
         except BaseException as exc:  # raised in the caller, once every shard has stopped
             failures.append(exc)
@@ -342,30 +362,52 @@ def _line_offset(i: int) -> int:
 
 
 @functools.cache
-def _text_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(810,) V13 line tails "\\tA\\tB\\ta\\tb\\te\\tg\\n" by the code 10 * cell + eve, and
-    (10**4, 4) uint8 ASCII digits of 0 to 9999; built on first use, not on import."""
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The line tail "\\tA\\tB\\ta\\tb\\te\\tg\\n" after a tab as two parts: (81,) "<u8" words by
+    cell and (10,) "<u4" words by Eve code.  Also (10**4, 4) uint8 ASCII digits of 0 to 9999.
+    Built on first use, not on import."""
     pair, a, b, sub, guess = _columns(*np.divmod(np.arange(810), 10))
     fields = np.stack([pair // 3 + 1, pair % 3 + 1, a, b, sub, guess], axis=1)
-    tails = np.full((810, 13), ord("\t"), dtype=np.uint8)
+    tails = np.full((810, 13), ord("\t"), dtype=np.uint8)  # by 10 * cell + eve
     tails[:, 1::2] = np.where(fields < 0, ord("-"), fields + ord("0"))
     tails[:, -1] = ord("\n")
+    cell_parts = np.ascontiguousarray(tails[::10, 1:9]).view("<u8")[:, 0]
+    eve_parts = np.ascontiguousarray(tails[:10, 9:]).view("<u4")[:, 0]
     digits = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + ord("0")
-    return tails.view("V13")[:, 0], digits
+    return cell_parts, eve_parts, digits
 
 
-def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray) -> None:
-    """Write a block's lines at their offset: records of high index digits, low ones and a tail."""
-    width = len(str(start))
+def _reused(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
+    """The first size items of the array scratch[name], made anew when it is shorter (the old
+    one dropped first, so the two are never held at once)."""
+    if len(scratch.get(name, ())) < size:
+        scratch.pop(name, None)
+        scratch[name] = np.empty(size, dtype=dtype)
+    return scratch[name][:size]
+
+
+def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray, scratch: dict) -> None:
+    """Write a block's lines at their offset: records of high index digits, low ones and a tail.
+
+    The lines are formatted in arrays kept in scratch, one shard's dict, so that its later
+    blocks reuse them.
+    """
+    n, width = len(cell), len(str(start))
     low = min(width, 4)
-    tails, digits = _text_tables()
-    buf = np.empty(len(cell) * (width + 13), dtype=np.uint8)
-    lines = buf.view([("high", f"V{width - low}"), ("low", f"V{low}"), ("tail", "V13")])
-    # the code 10 * cell + eve in int16, not intp: no 8-byte temporary per trial
-    lines["tail"] = tails[np.multiply(cell, 10, dtype=np.int16) + eve]
+    buf = _reused(scratch, "lines", n * (width + 13), np.uint8)
+    index, part = _reused(scratch, "index", n, np.intp), _reused(scratch, "part", n, "<u8")
+    cell_parts, eve_parts, digits = _text_tables()
+    lines = buf.view([("high", f"V{width - low}"), ("low", f"V{low}"), ("tab", "u1"), ("cell", "<u8"), ("eve", "<u4")])
+    lines["tab"] = ord("\t")
+    # gather each part into a contiguous array by an intp index, then copy it into the lines:
+    # fancy indexing by the int8 codes would make an index and a gathered temporary per block
+    np.copyto(index, cell)
+    lines["cell"] = np.take(cell_parts, index, out=part, mode="clip")  # mode "raise" would copy
+    np.copyto(index, eve)
+    lines["eve"] = np.take(eve_parts, index, out=part.view("<u4")[:n], mode="clip")
     low_digits = np.ascontiguousarray(digits[: 10**low, 4 - low :]).view(f"V{low}")[:, 0]
     # the indices of i .. i + 10**4 - 1 share their high digits and cycle the low ones
-    for i in range(start - start % 10**4, start + len(cell), 10**4):
+    for i in range(start - start % 10**4, start + n, 10**4):
         chunk = lines[max(i, start) - start : i + 10**4 - start]
         chunk["high"] = str(i)[:-4].encode()
         chunk["low"] = low_digits[max(start - i, 0) :][: len(chunk)]
@@ -380,7 +422,8 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
 
     Each shard thread writes each of its blocks at its own offset in the file,
     so shards never wait on each other and the bytes do not depend on the
-    worker count.  If the run fails, _output_file discards path before the error propagates.
+    worker count.  The lines go to a temporary file that replaces path only
+    when the run succeeds (see _staged), so a failed run keeps what was there.
     Raises OSError, before creating path, where os.pwrite is missing (not POSIX).
     """
     if not hasattr(os, "pwrite"):
@@ -388,7 +431,8 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
     with _output_file(path, "wb") as fh:
         fh.write(TRANSCRIPT_HEADER)
         fh.flush()
-        return _run(config, workers, functools.partial(_write_lines, fh.fileno()))
+        # each shard gets its own scratch, so no two threads format lines in the same arrays
+        return _run(config, workers, lambda: functools.partial(_write_lines, fh.fileno(), scratch={}))
 
 
 def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
@@ -409,21 +453,66 @@ def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
 
 
 def write_summary(config: SimConfig, transcript: ProtocolTranscript, path) -> None:
-    """summary_dict as JSON in path, discarded by _output_file if the write or its close fails."""
+    """summary_dict as JSON in path, through a temporary file that replaces it only on success."""
     with _output_file(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True) + "\n")
 
 
 @contextlib.contextmanager
 def _output_file(path, mode: str, **kwargs):
-    """open(path, mode, **kwargs) for a with block; _discard(path) if the block or the close fails."""
-    fh = open(path, mode, **kwargs)
+    """A file open with mode on what _staged gives for path, for a with block."""
+    with _staged(path) as (target,), open(target, mode, **kwargs) as fh:
+        yield fh
+
+
+@contextlib.contextmanager
+def _staged(*paths):
+    """Paths to write in a with block in place of paths, so a failed write keeps what was there.
+
+    A missing or regular-file path gets a new temporary file beside it, which
+    replaces it when the block succeeds and is discarded when the block fails;
+    so several paths are replaced only when all of their writes succeed, though
+    one rename after another, not as one step.  A symlink, pipe, device or
+    directory is written as itself: it is not the run's to replace, and a
+    failure leaves it as it is.
+    """
+    targets = []
     try:
-        with fh:
-            yield fh
+        for path in paths:
+            targets.append(_stage(path))
+        yield targets
+        for path, target in zip(paths, targets):
+            if target is not path:
+                os.replace(target, path)
     except BaseException:
-        _discard(path)
+        for path, target in zip(paths, targets):
+            if target is not path:
+                _discard(target)
         raise
+
+
+def _stage(path):
+    """Where _staged writes path: a new temporary file beside a missing or regular-file path,
+    with that file's permissions or a new file's, else path itself."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        umask = os.umask(0o077)  # no call only reads the umask
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            return path
+        mode = stat.S_IMODE(st.st_mode)
+    directory, name = os.path.split(path)
+    try:
+        fd, temporary = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    except OSError as exc:  # name the path asked for, as opening it would have
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    os.close(fd)
+    with contextlib.suppress(OSError):  # mkstemp makes 0o600; a file system without modes keeps its own
+        os.chmod(temporary, mode)
+    return temporary
 
 
 def _discard(path) -> None:

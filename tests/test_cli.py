@@ -4,9 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import resource
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -321,9 +323,10 @@ def test_sweep_rejects_disjoint_range():
 
 
 def test_sweep_unwritable_path_is_io_error(tmp_path):
-    result = tritkd("sweep", "--steps", "2", "--out", str(tmp_path / "no" / "dir" / "x.csv"))
+    out = tmp_path / "no" / "dir" / "x.csv"
+    result = tritkd("sweep", "--steps", "2", "--out", str(out))
     assert result.returncode == 1
-    assert result.stderr
+    assert result.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_sweep_failed_write_leaves_no_file(tmp_path):
@@ -337,7 +340,7 @@ def test_sweep_failed_write_leaves_no_file(tmp_path):
     )
     assert result.returncode == 1
     assert result.stderr == "error: [Errno 27] File too large\n"
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def _with_file_size_limit(limit, *args):
@@ -360,6 +363,32 @@ def test_sweep_failed_write_keeps_a_symlinked_out(tmp_path):
     assert result.stderr == "error: [Errno 27] File too large\n"
     assert link.is_symlink()
     assert target.is_file()
+
+
+def test_sweep_failed_write_keeps_the_earlier_file(tmp_path):
+    # the CSV goes to a temporary file beside keep.csv that replaces it only once written
+    out = tmp_path / "keep.csv"
+    out.write_text("old\n")
+    result = _with_file_size_limit(65536, "sweep", "--steps", "100", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr == "error: [Errno 27] File too large\n"
+    assert out.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_replaced_output_keeps_its_mode(tmp_path):
+    # a replaced file keeps its permissions, and a new one gets a plainly opened file's
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("old\n")
+    old.chmod(0o640)
+    for out in (old, new):
+        assert tritkd("sweep", "--steps", "2", "--out", str(out)).returncode == 0
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert old.read_bytes() == new.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [new, old]
 
 
 def test_sweep_memory_is_bounded_by_blocks(tmp_path, capsys):
@@ -680,6 +709,28 @@ def test_simulate_summary_failing_at_close_leaves_nothing_new(tmp_path):
     assert result.stdout == ""
     assert result.stderr == "error: [Errno 27] File too large\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["transcript", "summary"])
+def test_failed_simulate_rerun_keeps_the_earlier_run(monkeypatch, capsys, tmp_path, fault):
+    # both files are written to temporary files, which replace the earlier run's only when
+    # both writes succeed
+    def fail(*args, **kwargs):
+        raise OSError("x")
+
+    out = tmp_path / "run"
+    assert tritkd("simulate", "--trials", "10", "--seed", "1", "--honest", "--out", str(out)).returncode == 0
+    before = {path: path.read_bytes() for path in out.iterdir()}
+    rerun = ["simulate", "--trials", "100000", "--seed", "2", "--honest", "--out", str(out)]
+    if fault == "transcript":  # the 1.8 MB transcript passes the file size limit
+        result = _with_file_size_limit(65536, *rerun)
+        assert (result.returncode, result.stderr) == (1, "error: [Errno 27] File too large\n")
+    else:  # the new transcript is complete when the summary write fails
+        monkeypatch.setattr(cli, "write_summary", fail)
+        assert cli.main(rerun) == 1
+        assert capsys.readouterr().err == "error: x\n"
+    assert sorted(before) == [out / "summary.json", out / "transcript.tsv"]
+    assert {path: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("existed", [None, "a"])
