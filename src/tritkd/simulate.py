@@ -134,12 +134,6 @@ class ProtocolTranscript:
         return (np.concatenate(parts) + ord("0")).tobytes().decode("ascii")
 
 
-def _columns(cell: np.ndarray, eve: np.ndarray) -> np.ndarray:
-    """(5, n) setting pair, a, b, Eve's subspace and guess (-1 where eve is 0) of cells and Eve codes."""
-    sub, guess = np.divmod(eve - 1, 3)
-    return np.stack([cell // 9, cell // 3 % 3, cell % 3, sub, np.where(eve > 0, guess, -1)])
-
-
 def _outcome_tables(config: SimConfig) -> np.ndarray:
     """Exact p(a, b) for each setting pair, flattened to (9, 9): the pair source's tables T
     at visibility v (1 when honest) plus white noise, v T + (1 - v)/9 (proof in the README),
@@ -364,38 +358,23 @@ def _line_offset(i: int) -> int:
 @functools.cache
 def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The line tail "\\tA\\tB\\ta\\tb\\te\\tg\\n" after a tab as two parts: (81,) "<u8" words by
-    cell and (10,) "<u4" words by Eve code.  Also (10**4, 4) uint8 ASCII digits of 0 to 9999.
-    Built on first use, not on import."""
-    pair, a, b, sub, guess = _columns(*np.divmod(np.arange(810), 10))
-    fields = np.stack([pair // 3 + 1, pair % 3 + 1, a, b, sub, guess], axis=1)
-    tails = np.full((810, 13), ord("\t"), dtype=np.uint8)  # by 10 * cell + eve
-    tails[:, 1::2] = np.where(fields < 0, ord("-"), fields + ord("0"))
-    tails[:, -1] = ord("\n")
-    cell_parts = np.ascontiguousarray(tails[::10, 1:9]).view("<u8")[:, 0]
-    eve_parts = np.ascontiguousarray(tails[:10, 9:]).view("<u4")[:, 0]
+    cell 9 * pair + 3a + b and (10,) "<u4" words by Eve code 1 + 3e + g ("-\\t-\\n" at 0).  Also
+    (10**4, 4) uint8 ASCII digits of 0 to 9999.  Built on first use, not on import."""
+    cells = "".join(f"{c // 27 + 1}\t{c // 9 % 3 + 1}\t{c // 3 % 3}\t{c % 3}\t" for c in range(81))
+    eves = "-\t-\n" + "".join(f"{e}\t{g}\n" for e in range(3) for g in range(3))
     digits = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T) + ord("0")
-    return cell_parts, eve_parts, digits
+    return np.frombuffer(cells.encode(), "<u8"), np.frombuffer(eves.encode(), "<u4"), digits
 
 
-def _reused(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
-    """The first size items of the array scratch[name], made anew when it is shorter (the old
-    one dropped first, so the two are never held at once)."""
-    if len(scratch.get(name, ())) < size:
-        scratch.pop(name, None)
-        scratch[name] = np.empty(size, dtype=dtype)
-    return scratch[name][:size]
-
-
-def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray, scratch: dict) -> None:
+def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray, buffers: tuple[np.ndarray, ...]) -> None:
     """Write a block's lines at their offset: records of high index digits, low ones and a tail.
 
-    The lines are formatted in arrays kept in scratch, one shard's dict, so that its later
-    blocks reuse them.
+    The lines are formatted in the first items of buffers, one shard's uint8 line bytes, intp
+    index and "<u8" part, which must hold len(cell) lines of len(str(start)) + 13 bytes.
     """
     n, width = len(cell), len(str(start))
     low = min(width, 4)
-    buf = _reused(scratch, "lines", n * (width + 13), np.uint8)
-    index, part = _reused(scratch, "index", n, np.intp), _reused(scratch, "part", n, "<u8")
+    buf, index, part = buffers[0][: n * (width + 13)], buffers[1][:n], buffers[2][:n]
     cell_parts, eve_parts, digits = _text_tables()
     lines = buf.view([("high", f"V{width - low}"), ("low", f"V{low}"), ("tab", "u1"), ("cell", "<u8"), ("eve", "<u4")])
     lines["tab"] = ord("\t")
@@ -431,8 +410,13 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
     with _output_file(path, "wb") as fh:
         fh.write(TRANSCRIPT_HEADER)
         fh.flush()
-        # each shard gets its own scratch, so no two threads format lines in the same arrays
-        return _run(config, workers, lambda: functools.partial(_write_lines, fh.fileno(), scratch={}))
+        fd, n, width = fh.fileno(), min(config.trials, _BLOCK_TRIALS), len(str(config.trials - 1)) + 13
+
+        def make_sink():  # buffers for the longest block of the widest lines, one set per shard thread
+            buffers = np.empty(n * width, np.uint8), np.empty(n, np.intp), np.empty(n, "<u8")
+            return lambda start, cell, eve: _write_lines(fd, start, cell, eve, buffers)
+
+        return _run(config, workers, make_sink)
 
 
 def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:

@@ -12,12 +12,12 @@ import numpy as np
 from .attack import (
     AttackParams,
     _check_log_base,
+    _subspace_geometry,
     ab_error,
     eve_error,
     mutual_info_ab,
     mutual_info_ae,
     srm_success,  # noqa: F401 -- perfbench/spans.py wraps it on this module
-    subspace_analysis,
 )
 from .correlations import CRITICAL_VISIBILITY
 
@@ -80,7 +80,7 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
     params = AttackParams(f=f.ravel(), lam=lam.ravel())
     v = params.visibility
-    p0, p1, _ = subspace_analysis(params).p
+    p0, p1 = _subspace_geometry(params)[:2]  # subspace_analysis(params).p, without its unread w
     i_ab = mutual_info_ab(params, log_base)
     i_ae = mutual_info_ae(params, log_base)
     columns = (

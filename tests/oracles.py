@@ -14,7 +14,8 @@ arithmetic and maximised by golden section; and reference_find_crossover,
 bracketed by the fully zoomed scan behind the fixed bracket.
 reference_format_csv, one '%.9g' template per row, is the text the
 table-driven CSV renderer must match.  read_transcript reads the per-trial
-record back from the transcript file the CLI writes.  LOCAL_MODEL_AT_V0 is a pinned local
+record back from the transcript file the CLI writes, and code_columns decodes a
+shard block's codes into the same columns.  LOCAL_MODEL_AT_V0 is a pinned local
 model of the outcome tables at the critical visibility.
 """
 
@@ -155,6 +156,14 @@ def mutual_info_from_table(table, log_base=3.0):
     t = np.asarray(table, dtype=float)
     value = entropy_nats(t.sum(axis=1)) + entropy_nats(t.sum(axis=0)) - entropy_nats(t)
     return value / np.log(log_base)
+
+
+def code_columns(cell, eve):
+    """(5, n) setting pair, a, b, Eve's subspace and guess (-1 where eve is 0) of a shard
+    block's cells 9 * pair + 3a + b and Eve codes 1 + 3 * subspace + guess, as read_transcript
+    gives them."""
+    sub, guess = np.divmod(eve - 1, 3)
+    return np.stack([cell // 9, cell // 3 % 3, cell % 3, sub, np.where(eve > 0, guess, -1)])
 
 
 def read_transcript(path):

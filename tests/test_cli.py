@@ -8,9 +8,11 @@ import os
 import re
 import resource
 import shlex
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -731,6 +733,53 @@ def test_failed_simulate_rerun_keeps_the_earlier_run(monkeypatch, capsys, tmp_pa
         assert capsys.readouterr().err == "error: x\n"
     assert sorted(before) == [out / "summary.json", out / "transcript.tsv"]
     assert {path: path.read_bytes() for path in out.iterdir()} == before
+
+
+def _holds_bytes(path) -> bool:
+    try:
+        return path.stat().st_size > 0
+    except FileNotFoundError:  # renamed or removed since it was listed
+        return False
+
+
+def _killed_mid_write(cwd, *args) -> int:
+    """The return code of tritkd *args run in cwd, sent SIGKILL as soon as a hidden temporary
+    .*.tmp under cwd holds bytes; a child that exits first keeps its own return code."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "tritkd", *args], cwd=cwd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while child.poll() is None and not any(map(_holds_bytes, Path(cwd).rglob(".*.tmp"))):
+            assert time.monotonic() < deadline, "no temporary file held bytes within 60 s"
+            time.sleep(0.001)
+        child.send_signal(signal.SIGKILL)
+        return child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+
+
+@pytest.mark.parametrize(
+    "first, rerun",
+    [
+        (["sweep", "--steps", "2", "--out", "keep.csv"], ["sweep", "--steps", "1500", "--out", "keep.csv"]),
+        (
+            ["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", "D"],
+            ["simulate", "--trials", "10000000", "--seed", "2", "--f", "0.9", "--lam", "0.8", "--out", "D"],
+        ),
+    ],
+    ids=["sweep", "simulate"],
+)
+def test_killed_rerun_keeps_the_earlier_output(first, rerun, tmp_path):
+    # a run killed mid-write never renames its temporary over the earlier output, which stays
+    # byte for byte; no cleanup runs on SIGKILL, so the hidden temporary may stay behind, and
+    # nothing is synced to disk, so a power loss is not covered
+    assert tritkd(*first, cwd=tmp_path).returncode == 0
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert _killed_mid_write(tmp_path, *rerun) == -signal.SIGKILL  # not a run that finished
+    after = {path: path.read_bytes() for path in tmp_path.rglob("[!.]*") if path.is_file()}
+    assert after == before
 
 
 @pytest.mark.parametrize("existed", [None, "a"])

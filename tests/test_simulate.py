@@ -18,7 +18,15 @@ from numpy.random import Generator, Philox
 
 import tritkd.simulate
 from explicit import _SLOT_OF_FLAT, correlation_q, reduced_density
-from oracles import feasible_grid, joint_probs_rho, read_transcript, reference_bell, reference_shard, sifted_keys
+from oracles import (
+    code_columns,
+    feasible_grid,
+    joint_probs_rho,
+    read_transcript,
+    reference_bell,
+    reference_shard,
+    sifted_keys,
+)
 from tritkd.attack import (
     SUBSPACE_PAIRS,
     AttackParams,
@@ -33,7 +41,6 @@ from tritkd.simulate import (
     _GROUP_OF_FLAT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
-    _columns,
     _discard,
     _eve_codes,
     _guide_table,
@@ -528,6 +535,19 @@ def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeyp
     assert path.read_bytes() == expected
 
 
+@pytest.mark.parametrize("trials", [1, 10, 11, 10**5, 10**5 + 1])
+def test_transcript_bytes_at_buffer_sizing_edges(trials, tmp_path):
+    # each shard's buffers hold min(trials, _BLOCK_TRIALS) lines as wide as the last trial's:
+    # counts where that is one line, where every line is that wide, where only the last line
+    # is, and where full blocks of narrower lines come before it
+    config = SimConfig(trials=trials, seed=5, attack=AttackParams(f=0.9, lam=0.8))
+    expected = _line_by_line_transcript(reference_shard(config, 0, trials, *_sampling_tables(config)))
+    path = tmp_path / "transcript.tsv"
+    for workers in (1, 2):
+        write_transcript(config, path, workers=workers)
+        assert path.read_bytes() == expected
+
+
 @pytest.mark.parametrize("trials", [1, 9, 10, 10_001, 30_000])
 @pytest.mark.parametrize(
     "attack", [None, AttackParams(f=0.9, lam=0.8), AttackParams(f=0.5, lam=-0.5)], ids=["honest", "attack", "lam-edge"]
@@ -565,18 +585,23 @@ def _reference_lines(start, cell, eve) -> bytes:
     return "".join(lines).encode("ascii")
 
 
-def _written_lines(start, cell, eve, monkeypatch, scratch=None) -> bytes:
-    """_write_lines's bytes for a block, taken from os.pwrite calls that write at
-    most 4099 bytes each, after checking they continue each other from the
-    block's line offset (far beyond any file size for the largest indices)."""
+def _written_lines(start, cell, eve, monkeypatch, buffers=None) -> bytes:
+    """_write_lines's bytes for a block, formatted in buffers or else in buffers sized for
+    the block, and taken from os.pwrite calls that write at most 4099 bytes each, after
+    checking they write from the line buffer and continue each other from the block's line
+    offset (far beyond any file size for the largest indices)."""
+    if buffers is None:
+        n = len(cell)
+        buffers = np.empty(n * (len(str(start)) + 13), np.uint8), np.empty(n, np.intp), np.empty(n, "<u8")
     writes = []
 
     def short_pwrite(fd, data, offset):
+        assert np.shares_memory(np.frombuffer(data, np.uint8), buffers[0])
         writes.append((offset, bytes(data[:4099])))
         return len(writes[-1][1])
 
     monkeypatch.setattr(tritkd.simulate.os, "pwrite", short_pwrite)
-    _write_lines(-1, start, cell, eve, {} if scratch is None else scratch)
+    _write_lines(-1, start, cell, eve, buffers)
     offsets = itertools.accumulate((len(data) for _, data in writes[:-1]), initial=_line_offset(start))
     assert [offset for offset, _ in writes] == list(offsets)
     return b"".join(data for _, data in writes)
@@ -618,19 +643,17 @@ def test_write_lines_any_block(start, n, attack):
         assert _written_lines(start, cell, eve, monkeypatch) == _reference_lines(start, cell, eve)
 
 
-def test_reused_scratch_leaves_no_stale_bytes(monkeypatch):
-    # one shard's scratch through blocks whose lines narrow, widen across powers of ten and
-    # shorten, each block's arrays overwritten with 0xff bytes after use: every block gives
-    # the reference lines, and a block that fits reuses the arrays
-    scratch = {}
+def test_fixed_buffers_leave_no_stale_bytes(monkeypatch):
+    # one shard's buffers, made once for its longest block of its widest lines, through blocks
+    # whose lines narrow, widen across powers of ten and shorten, the buffers overwritten with
+    # 0xff bytes after each block: every block gives the reference lines
     blocks = [(123_456, 16_384), (5, 5), (99_990, 10), (10**7, 16_384), (10**18 - 3, 3), (42, 7)]
+    size = max(n for _, n in blocks)
+    buffers = np.empty(size * (19 + 13), np.uint8), np.empty(size, np.intp), np.empty(size, "<u8")
     for k, (start, n) in enumerate(blocks):
         cell, eve = _block_codes(np.random.default_rng(k), n, attack=k % 2 == 0)
-        arrays = dict(scratch)
-        assert _written_lines(start, cell, eve, monkeypatch, scratch) == _reference_lines(start, cell, eve)
-        if k in (1, 2, 4, 5):  # smaller blocks than the largest before them
-            assert all(scratch[name] is array for name, array in arrays.items())
-        for array in scratch.values():
+        assert _written_lines(start, cell, eve, monkeypatch, buffers) == _reference_lines(start, cell, eve)
+        for array in buffers:
             array.view(np.uint8)[:] = 0xFF
 
 
@@ -704,7 +727,7 @@ def _shard_columns(config, lo, hi, tables):
         # straddle a power of ten
         assert start == ends[-1] and start < stop <= hi
         assert stop - start <= tritkd.simulate._BLOCK_TRIALS and stop <= 10 ** len(str(start))
-        columns[:, start:stop] = _columns(cell, eve)
+        columns[:, start:stop] = code_columns(cell, eve)
         ends.append(stop)
 
     counts = _simulate_shard(config, lo, hi, *tables, record)
