@@ -25,7 +25,7 @@ from .correlations import (
     correlation_q_closed,
 )
 from .quantum import standard_settings
-from .simulate import SimConfig, _output_file, _staged, run, summary_dict, write_summary, write_transcript
+from .simulate import SimConfig, _staged, run, summary_dict, write_summary, write_transcript
 from .sweep import find_crossover, format_csv, sweep_rows
 
 
@@ -99,7 +99,7 @@ def cmd_sweep(args) -> int:
         *notes,
     ]
     text = format_csv(sweep_rows(f_values[:block], lam_values, log_base=args.log_base), comments)
-    with _output_file(args.out, "w", encoding="ascii") as fh:  # after the first block: a bad --log-base opens nothing
+    with _staged(args.out) as target, open(target, "w", encoding="ascii") as fh:  # a bad --log-base opens nothing
         fh.write(text)
         for start in range(block, args.steps, block):
             text = format_csv(sweep_rows(f_values[start : start + block], lam_values, log_base=args.log_base))
@@ -127,10 +127,10 @@ def cmd_simulate(args) -> int:
         out_dir = Path(args.out)
         made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
         out_dir.mkdir(parents=True, exist_ok=True)
-        try:  # both files are replaced only when both writes succeed
-            with _staged(out_dir / "transcript.tsv", out_dir / "summary.json") as (transcript_path, summary_path):
-                transcript = write_transcript(config, transcript_path, workers=args.workers)
-                write_summary(config, transcript, summary_path)
+        try:  # both files are replaced only when both writes succeed, the transcript first
+            with _staged(out_dir / "summary.json") as summary, _staged(out_dir / "transcript.tsv") as lines:
+                transcript = write_transcript(config, lines, workers=args.workers)
+                write_summary(config, transcript, summary)
         except BaseException:  # leave nothing new: the staged files are gone, then the directories made here
             for made_dir in made:
                 if any(made_dir.iterdir()):

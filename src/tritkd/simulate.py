@@ -407,7 +407,7 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
     """
     if not hasattr(os, "pwrite"):
         raise OSError("writing a transcript needs os.pwrite, which this platform lacks")
-    with _output_file(path, "wb") as fh:
+    with _staged(path) as target, open(target, "wb") as fh:
         fh.write(TRANSCRIPT_HEADER)
         fh.flush()
         fd, n, width = fh.fileno(), min(config.trials, _BLOCK_TRIALS), len(str(config.trials - 1)) + 13
@@ -438,46 +438,44 @@ def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
 
 def write_summary(config: SimConfig, transcript: ProtocolTranscript, path) -> None:
     """summary_dict as JSON in path, through a temporary file that replaces it only on success."""
-    with _output_file(path, "w", encoding="ascii", newline="\n") as fh:
+    with _staged(path) as target, open(target, "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True) + "\n")
 
 
 @contextlib.contextmanager
-def _output_file(path, mode: str, **kwargs):
-    """A file open with mode on what _staged gives for path, for a with block."""
-    with _staged(path) as (target,), open(target, mode, **kwargs) as fh:
-        yield fh
-
-
-@contextlib.contextmanager
-def _staged(*paths):
-    """Paths to write in a with block in place of paths, so a failed write keeps what was there.
+def _staged(path):
+    """The path to write in a with block in place of path, so a failed write keeps what was there.
 
     A missing or regular-file path gets a new temporary file beside it, which
-    replaces it when the block succeeds and is discarded when the block fails;
-    so several paths are replaced only when all of their writes succeed, though
-    one rename after another, not as one step.  A symlink, pipe, device or
-    directory is written as itself: it is not the run's to replace, and a
-    failure leaves it as it is.
+    replaces it when the block succeeds and is discarded when the block fails.
+    A temporary that an enclosing _staged made is written as itself, and that
+    block renames or discards it: so nested blocks replace their paths only
+    when all of their writes succeed, the innermost first, one rename after
+    another, not as one step.  A symlink, pipe, device or directory is written
+    as itself: it is not the run's to replace, and a failure leaves it as it is.
     """
-    targets = []
+    target = _stage(path)
     try:
-        for path in paths:
-            targets.append(_stage(path))
-        yield targets
-        for path, target in zip(paths, targets):
-            if target is not path:
-                os.replace(target, path)
+        yield target
+        if target is not path:
+            with contextlib.suppress(OSError):  # a file system without modes keeps its own
+                os.chmod(target, target.mode)
+            os.replace(target, path)
     except BaseException:
-        for path, target in zip(paths, targets):
-            if target is not path:
-                _discard(target)
+        if target is not path:
+            _discard(target)
         raise
 
 
+class _Temporary(str):
+    """A temporary file that _stage made, with the mode its path gets at the rename."""
+
+
 def _stage(path):
-    """Where _staged writes path: a new temporary file beside a missing or regular-file path,
-    with that file's permissions or a new file's, else path itself."""
+    """Where _staged writes path: beside a missing or regular-file path, a new owner-writable
+    _Temporary that carries that file's mode or a new file's; else path itself, a _Temporary too."""
+    if isinstance(path, _Temporary):
+        return path
     try:
         st = os.lstat(path)
     except FileNotFoundError:
@@ -487,6 +485,7 @@ def _stage(path):
     else:
         if not stat.S_ISREG(st.st_mode):
             return path
+        os.close(os.open(path, os.O_WRONLY))  # open's own error for a file it would refuse; no truncation
         mode = stat.S_IMODE(st.st_mode)
     directory, name = os.path.split(path)
     try:
@@ -494,8 +493,10 @@ def _stage(path):
     except OSError as exc:  # name the path asked for, as opening it would have
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     os.close(fd)
-    with contextlib.suppress(OSError):  # mkstemp makes 0o600; a file system without modes keeps its own
-        os.chmod(temporary, mode)
+    temporary = _Temporary(temporary)
+    temporary.mode = mode
+    with contextlib.suppress(OSError):  # mkstemp's 0o600, less the umask; a file system without modes keeps its own
+        os.chmod(temporary, 0o600)
     return temporary
 
 

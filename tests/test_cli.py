@@ -12,6 +12,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -391,6 +392,125 @@ def test_replaced_output_keeps_its_mode(tmp_path):
     assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
     assert old.read_bytes() == new.read_bytes()
     assert sorted(tmp_path.iterdir()) == [new, old]
+
+
+def _spy_on_staging(monkeypatch) -> list:
+    """The calls of tempfile.mkstemp (by prefix) and os.replace (by path) from here on, in order."""
+    import tritkd.simulate
+
+    calls, mkstemp, replace = [], tritkd.simulate.tempfile.mkstemp, tritkd.simulate.os.replace
+
+    def spy_mkstemp(*args, **kwargs):
+        calls.append(("mkstemp", kwargs["prefix"]))
+        return mkstemp(*args, **kwargs)
+
+    def spy_replace(src, dst):
+        calls.append(("replace", os.fspath(dst)))
+        return replace(src, dst)
+
+    monkeypatch.setattr(tritkd.simulate.tempfile, "mkstemp", spy_mkstemp)
+    monkeypatch.setattr(tritkd.simulate.os, "replace", spy_replace)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, staging",
+    [
+        (
+            ["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", "D"],
+            [
+                ("mkstemp", ".summary.json."),
+                ("mkstemp", ".transcript.tsv."),
+                ("replace", "D/transcript.tsv"),
+                ("replace", "D/summary.json"),
+            ],
+        ),
+        (["sweep", "--steps", "2", "--out", "x.csv"], [("mkstemp", ".x.csv."), ("replace", "x.csv")]),
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_each_output_file_is_staged_once(monkeypatch, capsys, tmp_path, argv, staging):
+    # the library writers write the temporary files the CLI staged as they are: one temporary
+    # and one rename per output file, the transcript renamed before the summary
+    monkeypatch.chdir(tmp_path)
+    calls = _spy_on_staging(monkeypatch)
+    assert cli.main(argv) == 0
+    assert calls == staging
+
+
+@pytest.fixture
+def shared():
+    """A new directory that the child of _unprivileged reaches: tempfile and open use its absolute path."""
+    with tempfile.TemporaryDirectory() as name:
+        yield Path(name)
+
+
+def _unprivileged(cwd, argv, umask) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr in a forked child that works in cwd under umask.
+
+    Where this process is root, the child runs as uid and gid 65534 and cwd and what it holds
+    are given to that user first, so that file permissions hold.  That user may not reach the
+    interpreter's files, so main must have run in this process once: the child imports nothing.
+    """
+    if os.geteuid() == 0:
+        for path in (cwd, *cwd.rglob("*")):
+            os.chown(path, 65534, 65534, follow_symlinks=False)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 70
+        try:
+            os.close(read)
+            os.chdir(cwd)
+            if os.geteuid() == 0:
+                os.setgroups([])
+                os.setgid(65534)
+                os.setuid(65534)
+            os.umask(umask)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            os.write(write, err.getvalue().encode())
+        except BaseException as exc:
+            os.write(write, repr(exc).encode())
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        stderr = fh.read()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), stderr
+
+
+def test_new_output_under_a_umask_without_owner_write(capsys, tmp_path, shared):
+    # the temporary stays writable while it is written and gets a new file's mode, here 0o444,
+    # only at the rename: as a plain open would, the run succeeds and leaves a read-only file
+    warm = tmp_path / "warm.csv"
+    assert cli.main(["sweep", "--steps", "2", "--out", str(warm)]) == 0
+    code, stderr = _unprivileged(shared, ["sweep", "--steps", "2", "--out", "new.csv"], 0o222)
+    assert (code, stderr) == (0, "")
+    assert list(shared.iterdir()) == [shared / "new.csv"]
+    assert stat.S_IMODE((shared / "new.csv").stat().st_mode) == 0o444
+    assert (shared / "new.csv").read_bytes() == warm.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["sweep", "--steps", "2", "--out", "x.csv"], "x.csv"),
+        (["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", "D"], "D/transcript.tsv"),
+    ],
+    ids=["sweep", "simulate"],
+)
+def test_output_onto_a_read_only_file_is_refused_by_its_name(capsys, shared, argv, refused):
+    # a file that open would refuse is refused before any temporary is made, with open's error,
+    # which names it; the earlier bytes stay and no hidden temporary is left
+    assert cli.main(["simulate", "--trials", "10", "--seed", "1", "--honest", "--out", str(shared / "D")]) == 0
+    assert cli.main(["sweep", "--steps", "2", "--out", str(shared / "x.csv")]) == 0
+    (shared / refused).chmod(0o444)
+    before = {path: path.read_bytes() for path in shared.rglob("*") if path.is_file()}
+    code, stderr = _unprivileged(shared, argv, 0o022)
+    assert (code, stderr) == (1, f"error: [Errno 13] Permission denied: '{refused}'\n")
+    assert {path: path.read_bytes() for path in shared.rglob("*") if path.is_file()} == before
 
 
 def test_sweep_memory_is_bounded_by_blocks(tmp_path, capsys):

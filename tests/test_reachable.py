@@ -3,8 +3,8 @@
 Code that only the tests call lives under tests/, as the explicit-state
 references of tests/explicit.py do; this guard names any library definition
 that nothing else in src/tritkd refers to, any import a module never uses, and any
-private module constant the package never reads, and any file removal outside
-simulate._discard.
+private module constant the package never reads, any file removal outside
+simulate._discard, and any file opened for writing other than through simulate._staged.
 """
 
 import ast
@@ -90,3 +90,34 @@ def test_only_discard_removes_files():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"unlink", "remove"}
     ]
     assert calls == ["simulate.py:_discard"]
+
+
+def _callee(node) -> str | None:
+    """The name that a call of a plain name calls, such as open or _staged."""
+    return getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call of open may write: its mode is not a constant without w, a, x or +."""
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value))
+
+
+def test_every_written_file_is_staged():
+    # each open for writing is an item of a with statement and opens the name that an earlier
+    # item, a _staged(...) call, binds: no writer replaces an output other than through _staged
+    opens, staged = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if _callee(node) == "open" and _writes(node):
+                opens.append(node)
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                bound = set()
+                for item in node.items:
+                    call = item.context_expr
+                    if _callee(call) == "_staged" and isinstance(item.optional_vars, ast.Name):
+                        bound.add(item.optional_vars.id)
+                    elif _callee(call) == "open" and call.args and getattr(call.args[0], "id", None) in bound:
+                        staged.append(call)
+    assert len(opens) == 3  # write_transcript, write_summary and cmd_sweep
+    assert [f"line {call.lineno}" for call in opens if call not in staged] == []

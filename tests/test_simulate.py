@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo protocol engine."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -49,6 +50,7 @@ from tritkd.simulate import (
     _outcome_tables,
     _sampling_tables,
     _simulate_shard,
+    _staged,
     _thresholds,
     _write_lines,
     TRANSCRIPT_HEADER,
@@ -250,6 +252,44 @@ def test_discard_removes_only_a_regular_file(tmp_path, kind, removed):
     _discard(path)
     assert os.path.lexists(path) == (kind != "missing" and not removed)
     assert target.is_file()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_staged_in_an_enclosing_staged_writes_its_temporary_in_place(tmp_path, fails):
+    # the inner block yields the outer block's temporary as it is and neither renames nor removes
+    # it, on success or failure; the outer block alone renames it, or discards it after a failure
+    path = tmp_path / "transcript.tsv"
+    path.write_bytes(b"earlier run\n")
+    with contextlib.suppress(OSError), _staged(path) as outer:
+        try:
+            with _staged(outer) as inner:
+                assert inner is outer
+                Path(inner).write_bytes(b"new run\n")
+                if fails:
+                    raise OSError("x")
+        finally:
+            assert Path(outer).read_bytes() == b"new run\n"
+            assert sorted(tmp_path.iterdir()) == sorted([path, Path(outer)])
+    assert path.read_bytes() == (b"earlier run\n" if fails else b"new run\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_transcript_makes_one_temporary(monkeypatch, tmp_path):
+    # one temporary file beside the path, and none for a path that an enclosing _staged gave
+    made, mkstemp = [], tempfile.mkstemp
+
+    def spy(*args, **kwargs):
+        made.append(kwargs["prefix"])
+        return mkstemp(*args, **kwargs)
+
+    monkeypatch.setattr(tritkd.simulate.tempfile, "mkstemp", spy)
+    config = SimConfig(trials=10, seed=1)
+    write_transcript(config, tmp_path / "direct.tsv")
+    with _staged(tmp_path / "nested.tsv") as target:
+        write_transcript(config, target)
+    assert made == [".direct.tsv.", ".nested.tsv."]
+    assert (tmp_path / "nested.tsv").read_bytes() == (tmp_path / "direct.tsv").read_bytes()
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "direct.tsv", tmp_path / "nested.tsv"]
 
 
 @pytest.mark.parametrize("trials", [3, 7, 2**53 + 1, 2**60 + 1, 2**63 - 1])
