@@ -17,6 +17,7 @@ and live in tests/explicit.py.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,13 @@ class AttackParams:
     def visibility(self) -> float | np.ndarray:
         """Attenuation factor f*lam applied to every correlation."""
         return self.f * self.lam
+
+    @functools.cached_property
+    def _groups(self) -> tuple[np.ndarray, ...]:
+        """(p0, p12, w0, w12): the group probabilities of _subspace_geometry and srm_success of
+        its two overlaps, computed once for every closed form that sums over the groups."""
+        p0, p12, lt0, lt12 = _subspace_geometry(self)
+        return p0, p12, srm_success(lt0), srm_success(lt12)
 
 
 def build_ancilla_states(params: AttackParams) -> dict[tuple[int, int], np.ndarray]:
@@ -155,9 +163,9 @@ def _subspace_geometry(params: AttackParams) -> tuple[np.ndarray, ...]:
 
 def _over_groups(params: AttackParams, per_group) -> np.ndarray:
     """sum_i p[i] * per_group(w[i]) over the three groups, skipping those with p[i] = 0."""
-    p0, p12, lt0, lt12 = _subspace_geometry(params)
-    t0 = np.where(p0 > 0.0, p0 * per_group(srm_success(lt0)), 0.0)
-    t12 = np.where(p12 > 0.0, p12 * per_group(srm_success(lt12)), 0.0)
+    p0, p12, w0, w12 = params._groups
+    t0 = np.where(p0 > 0.0, p0 * per_group(w0), 0.0)
+    t12 = np.where(p12 > 0.0, p12 * per_group(w12), 0.0)
     return t0 + t12 + t12
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,10 @@ from .correlations import (
 )
 from .quantum import standard_settings
 from .simulate import SimConfig, _staged, run, summary_dict, write_summary, write_transcript
-from .sweep import find_crossover, format_csv, sweep_rows
+from .sweep import _CSV_BLOCK, find_crossover, format_csv, sweep_rows
+
+# grid points per sweep_rows call of cmd_sweep: smaller blocks hold less, but each call costs about 0.2 ms
+_SWEEP_POINTS = 2**12
 
 
 def _finite(text: str) -> float:  # for the sweep ranges: NaN would pass _clip_range's comparisons
@@ -88,22 +92,30 @@ def cmd_sweep(args) -> int:
     notes = []
     f_lo, f_hi = _clip_range(args.f_min, args.f_max, F_DOMAIN, "f", notes)
     l_lo, l_hi = _clip_range(args.lam_min, args.lam_max, LAM_DOMAIN, "lam", notes)
-    if not 1 <= args.steps < 2**30:  # from 2**30: 2**60 points, and 8 GiB per array of a one-f-row block
+    if not 1 <= args.steps < 2**30:  # from 2**30: 2**60 points, and 8 GiB for each axis
         raise ValueError(f"--steps must be >= 1 and below 2**30, got {args.steps}")
 
     f_values, lam_values = np.linspace(f_lo, f_hi, args.steps), np.linspace(l_lo, l_hi, args.steps)
-    block = max(1, 2**16 // args.steps)  # f values per block: at most 2**16 rows, or one f row
+    # blocks of at most _SWEEP_POINTS grid points, f outermost: whole f rows while one fits, else
+    # runs of one f row; each is written _CSV_BLOCK rows at a time, so no block's whole text is made
+    per_f, per_lam = max(1, _SWEEP_POINTS // args.steps), min(args.steps, _SWEEP_POINTS)
+    blocks = (
+        sweep_rows(f_values[i : i + per_f], lam_values[j : j + per_lam], log_base=args.log_base)
+        for i in range(0, args.steps, per_f)
+        for j in range(0, args.steps, per_lam)
+    )
     comments = [
         f"attack sweep: {args.steps}x{args.steps} grid, f in [{f_lo:.9g}, {f_hi:.9g}], "
         f"lam in [{l_lo:.9g}, {l_hi:.9g}], log base {args.log_base:.9g}",
         *notes,
     ]
-    text = format_csv(sweep_rows(f_values[:block], lam_values, log_base=args.log_base), comments)
-    with _staged(args.out) as target, open(target, "w", encoding="ascii") as fh:  # a bad --log-base opens nothing
-        fh.write(text)
-        for start in range(block, args.steps, block):
-            text = format_csv(sweep_rows(f_values[start : start + block], lam_values, log_base=args.log_base))
-            fh.write(text.partition("\n")[2])  # without the header line
+    first = next(blocks)  # a bad --log-base opens nothing
+    with _staged(args.out) as target, open(target, "w", encoding="ascii") as fh:
+        scratch = {}  # format_csv's arrays for one block, made once for every slice
+        fh.write(format_csv(first[:0], comments, scratch=scratch))  # the comments and the column names
+        for rows in itertools.chain([first], blocks):
+            for start in range(0, len(rows), _CSV_BLOCK):
+                fh.write(format_csv(rows[start : start + _CSV_BLOCK], header=False, scratch=scratch))
     print(f"wrote {args.steps**2} rows to {args.out}")
     return 0
 

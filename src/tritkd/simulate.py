@@ -300,8 +300,9 @@ def _run(config: SimConfig, workers: int, make_sink) -> ProtocolTranscript:
         raise ValueError("workers must be >= 1")
 
     tables = _sampling_tables(config)
-    # one shard per thread: more shards than CPUs would only queue
-    n_shards = min(workers, os.cpu_count() or 1, config.trials)
+    # one shard per thread: more shards than the CPUs this process may run on would only queue
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n_shards = min(workers, cpus, config.trials)
     # integer bounds: a float cut loses trials beyond 2**53
     bounds = [config.trials * i // n_shards for i in range(n_shards + 1)]
     counts, failures = [], []
@@ -339,9 +340,9 @@ def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:
     """Simulate the protocol; output is identical for any worker count.
 
     Trials are split into contiguous shards, one per worker but at most one
-    per CPU, each on its own thread counting its slice of the counter-based
-    stream block by block.  Every statistic comes from the sum of the shards'
-    count tables; nothing per trial is kept.
+    per CPU this process may run on, each on its own thread counting its
+    slice of the counter-based stream block by block.  Every statistic comes
+    from the sum of the shards' count tables; nothing per trial is kept.
     """
     return _run(config, workers, None)
 
@@ -385,10 +386,14 @@ def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray, buffers
     np.copyto(index, eve)
     lines["eve"] = np.take(eve_parts, index, out=part.view("<u4")[:n], mode="clip")
     low_digits = np.ascontiguousarray(digits[: 10**low, 4 - low :]).view(f"V{low}")[:, 0]
+    # one uint8 column per high digit: a V{k} scalar would be broadcast byte by byte, more slowly
+    columns = buf.reshape(n, width + 13)
     # the indices of i .. i + 10**4 - 1 share their high digits and cycle the low ones
     for i in range(start - start % 10**4, start + n, 10**4):
-        chunk = lines[max(i, start) - start : i + 10**4 - start]
-        chunk["high"] = str(i)[:-4].encode()
+        rows = slice(max(i, start) - start, i + 10**4 - start)
+        for column, digit in enumerate(str(i)[:-4].encode()):
+            columns[rows, column] = digit
+        chunk = lines[rows]
         chunk["low"] = low_digits[max(start - i, 0) :][: len(chunk)]
     data, offset = memoryview(buf), _line_offset(start)
     while data:  # pwrite may write fewer bytes than asked

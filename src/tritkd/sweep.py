@@ -12,7 +12,6 @@ import numpy as np
 from .attack import (
     AttackParams,
     _check_log_base,
-    _subspace_geometry,
     ab_error,
     eve_error,
     mutual_info_ab,
@@ -80,7 +79,7 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
     params = AttackParams(f=f.ravel(), lam=lam.ravel())
     v = params.visibility
-    p0, p1 = _subspace_geometry(params)[:2]  # subspace_analysis(params).p, without its unread w
+    p0, p1 = params._groups[:2]  # subspace_analysis(params).p, from what e_eve and i_ae share
     i_ab = mutual_info_ab(params, log_base)
     i_ae = mutual_info_ae(params, log_base)
     columns = (
@@ -170,9 +169,12 @@ def _render_block(x, words, a, q, c, k) -> bytes:
     return words.tobytes().translate(None, b"\0 ")
 
 
-def format_csv(rows, comments=()) -> str:
+def format_csv(rows, comments=(), header: bool = True, scratch: dict | None = None) -> str:
     """Render sweep_rows records as CSV with '#' comment lines: each value as '%.9g' would,
     the boolean flags as 1 and 0, byte for byte.  A comment with a line break raises ValueError.
+    header=False leaves out the line of column names.  A dict the caller passes as scratch
+    keeps one block's arrays for its next call, so that a grid formatted a slice per call does
+    not allocate them, and fault their pages in, again for each slice.
 
     Exact because s = |x| * 10**(8 - e) is one correctly rounded product (10**k is exact for
     k <= 22), so rint(s) is the 9-digit mantissa unless frac(s) is within 1e-6 of 1/2; those
@@ -182,20 +184,28 @@ def format_csv(rows, comments=()) -> str:
         if "\n" in comment or "\r" in comment:
             raise ValueError(f"a comment cannot contain a line break, got {comment!r}")
     parts = [f"# {c}\n" for c in comments]
-    parts.append(",".join(CSV_COLUMNS) + "\n")
-    columns = [rows[name] for name in CSV_COLUMNS]
+    if header:
+        parts.append(",".join(CSV_COLUMNS) + "\n")
+    fields = np.asarray(rows)  # a plain array's fields, which a recarray's are slower to take
+    columns = [fields[name] for name in CSV_COLUMNS]
     # boolean columns after the last float one skip the digit passes: a digit word each
     n_x = 1 + max((i for i, column in enumerate(columns) if column.dtype != bool), default=0)
-    # one block's arrays, allocated once, so that later blocks do not fault their pages in again
-    shape = (min(len(rows), _CSV_BLOCK), len(columns))
-    words = np.zeros(shape + (5,), "<u4")
-    words[..., 4], words[:, -1, 4] = ord(","), ord("\n")
-    buffers = [np.empty(shape), words, *np.empty((3, shape[0], n_x)), np.empty((shape[0], n_x), np.intp)]
+    # one block's arrays, made once per call, or once per scratch dict and column layout, so
+    # that later blocks and calls do not fault their pages in again; words keeps each record's
+    # separator, and zeros wherever _render_block writes nothing
+    scratch = {} if scratch is None else scratch
+    if (len(columns), n_x) not in scratch:
+        shape = (_CSV_BLOCK, len(columns))
+        words = np.zeros(shape + (5,), "<u4")
+        words[..., 4], words[:, -1, 4] = ord(","), ord("\n")
+        work = [*np.empty((3, _CSV_BLOCK, n_x)), np.empty((_CSV_BLOCK, n_x), np.intp)]
+        scratch[len(columns), n_x] = [np.empty(shape), words, *work]
+    buffers = scratch[len(columns), n_x]
     for start in range(0, len(rows), _CSV_BLOCK):
-        x, words, *scratch = (b[: len(rows) - start] for b in buffers)
+        x, words, *work = (b[: len(rows) - start] for b in buffers)
         np.stack([column[start : start + _CSV_BLOCK] for column in columns], axis=1, out=x)
         words[:, n_x:, 0] = x[:, n_x:] + ord("0")
-        parts.append(_render_block(x[:, :n_x], words, *scratch).decode("ascii"))
+        parts.append(_render_block(x[:, :n_x], words, *work).decode("ascii"))
     return "".join(parts)
 
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from tritkd import cli
 from tritkd.correlations import CRITICAL_VISIBILITY
-from tritkd.sweep import CSV_COLUMNS
+from tritkd.sweep import CSV_COLUMNS, format_csv, sweep_rows
 
 
 def tritkd(*args, cwd=None):
@@ -513,22 +513,66 @@ def test_output_onto_a_read_only_file_is_refused_by_its_name(capsys, shared, arg
     assert {path: path.read_bytes() for path in shared.rglob("*") if path.is_file()} == before
 
 
-def test_sweep_memory_is_bounded_by_blocks(tmp_path, capsys):
-    # 360 000 rows in blocks of 109 f values; the whole grid at once traced 104.5 MiB
-    cli.main(["sweep", "--steps", "2", "--out", str(tmp_path / "warm.csv")])  # one-time tables
+def _traced_sweep_peak(tmp_path, steps: int) -> int:
+    """tracemalloc's peak over a `sweep --steps steps`, above what was traced before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        assert cli.main(["sweep", "--steps", "600", "--out", str(tmp_path / "sweep.csv")]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
+        assert cli.main(["sweep", "--steps", str(steps), "--out", str(tmp_path / f"{steps}.csv")]) == 0
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert capsys.readouterr().out.endswith("wrote 360000 rows to " + str(tmp_path / "sweep.csv") + "\n")
-    assert peak <= 40 << 20
+
+
+def test_sweep_memory_is_bounded_by_blocks(tmp_path, capsys):
+    # blocks of at most 2**12 points, written 1024 rows at a time: 1.1-1.2 MiB traced at both
+    # sizes; 12.1 and 26.9 MiB in blocks of 2**16 rows, and the whole grid at once 104.5 MiB
+    cli.main(["sweep", "--steps", "2", "--out", str(tmp_path / "warm.csv")])  # one-time tables, buffers
+    small = _traced_sweep_peak(tmp_path, 200)
+    peak = _traced_sweep_peak(tmp_path, 600)
+    assert capsys.readouterr().out.endswith("wrote 360000 rows to " + str(tmp_path / "600.csv") + "\n")
+    assert peak <= 3 << 20
+    assert peak <= small + (256 << 10)  # the peak does not grow with the grid
+
+
+@pytest.mark.parametrize(
+    "points, blocks",
+    [
+        (64, [(1, 64), (1, 36)] * 100),
+        (100, [(1, 100)] * 100),
+        (250, [(2, 100)] * 50),
+        (2**12, [(40, 100)] * 2 + [(20, 100)]),
+    ],
+    ids=["lam-runs", "f-row", "f-rows", "default"],
+)
+def test_sweep_blocks_keep_the_bytes(monkeypatch, tmp_path, points, blocks):
+    # blocks of runs of one f row, of one whole f row, of two, and the default 40: the same CSV,
+    # each block evaluated once and written in slices of at most 1024 rows
+    argv = ["sweep", "--steps", "100", "--lam-min", "-0.2", "--out"]
+    assert cli.main([*argv, str(tmp_path / "default.csv")]) == 0
+    shapes, slices = [], []
+
+    def recording_sweep_rows(f_values, lam_values, **kwargs):
+        shapes.append((len(f_values), len(lam_values)))
+        return sweep_rows(f_values, lam_values, **kwargs)
+
+    def recording_format_csv(rows, *args, **kwargs):
+        slices.append(len(rows))
+        return format_csv(rows, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_SWEEP_POINTS", points)
+    monkeypatch.setattr(cli, "sweep_rows", recording_sweep_rows)
+    monkeypatch.setattr(cli, "format_csv", recording_format_csv)
+    assert cli.main([*argv, str(tmp_path / "blocked.csv")]) == 0
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    assert shapes == blocks
+    assert slices[0] == 0 and max(slices) <= 1024 and sum(slices) == 100**2  # the header, then rows
 
 
 # SHA-256 of `sweep` CSVs: the default grid, a benchmark-sized grid in base 2,
-# and a clipped grid in base e; a rewrite of the formatter must keep them.
+# a clipped grid in base e, and a grid in base 10 that spans many blocks (24 of
+# 2**12 points; 2 of 2**16 rows before); a rewrite of the formatter or of the
+# blocks must keep them.
 GOLDEN_SWEEPS = [
     (("--steps", "50"), "0a6a705a60dfbdc9c63e0b8a7a7822cdc11c5a2e5f767a32d1003c30af86eaa6"),
     (
@@ -540,10 +584,11 @@ GOLDEN_SWEEPS = [
          "--log-base", "2.718281828459045"),
         "61c990884af638a812363154aa60436f02f7171743910f83ceef89aeaea24b54",
     ),
+    (("--steps", "300", "--log-base", "10"), "46bb7030ab72b42787b3f6304e83f8a7aafb9cb49db591c002640eb43a92f2d2"),
 ]
 
 
-@pytest.mark.parametrize("args, sha", GOLDEN_SWEEPS, ids=["default", "base-2", "clipped-base-e"])
+@pytest.mark.parametrize("args, sha", GOLDEN_SWEEPS, ids=["default", "base-2", "clipped-base-e", "blocks-base-10"])
 def test_sweep_reproducible_bytes(args, sha, tmp_path):
     out = tmp_path / "sweep.csv"
     assert tritkd("sweep", *args, "--out", str(out)).returncode == 0

@@ -138,7 +138,7 @@ def test_same_seed_same_transcript(tmp_path):
 
 def test_worker_count_does_not_change_output(monkeypatch, tmp_path):
     # enough CPUs that every worker count below cuts its own shards
-    monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tritkd.simulate.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     config = SimConfig(trials=7001, seed=9, attack=AttackParams(f=0.85, lam=0.7))
     serial = run(config, workers=1)
     serial_bytes, written = _transcript_bytes(config, tmp_path / "serial.tsv", 1)
@@ -168,7 +168,7 @@ def test_threads_bounded_by_cpu_count(monkeypatch, tmp_path):
         calls.append(args[1:3])  # lo, hi
         return shard(*args)
 
-    monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tritkd.simulate.os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
     bounded = run(config, workers=10**9)
     assert 1 <= len(calls) <= 2
@@ -178,6 +178,44 @@ def test_threads_bounded_by_cpu_count(monkeypatch, tmp_path):
     assert _transcripts_equal(serial, bounded)
     assert blob == serial_bytes
     assert _transcripts_equal(serial, written)
+
+
+@contextlib.contextmanager
+def _pinned_to_one_cpu():
+    """This thread's affinity mask cut to one of its CPUs, and restored after."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("this platform has no affinity mask")
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@pytest.mark.parametrize("source", ["pinned", "affinity", "cpu_count"])
+def test_one_cpu_gives_one_shard(source, monkeypatch, tmp_path):
+    # one CPU to run on, by a real affinity mask, a patched one, or the CPU count where the
+    # platform has no mask: four workers cut one shard and write the serial bytes
+    config = SimConfig(trials=1000, seed=17, attack=AttackParams(f=0.9, lam=0.8))
+    serial_bytes, _ = _transcript_bytes(config, tmp_path / "serial.tsv", 1)
+    calls = []
+    shard = tritkd.simulate._simulate_shard
+
+    def recording_shard(*args):
+        calls.append(args[1:3])  # lo, hi
+        return shard(*args)
+
+    monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
+    if source == "affinity":
+        monkeypatch.setattr(tritkd.simulate.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    elif source == "cpu_count":
+        monkeypatch.delattr(tritkd.simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 1)
+    with _pinned_to_one_cpu() if source == "pinned" else contextlib.nullcontext():
+        blob, _ = _transcript_bytes(config, tmp_path / "four.tsv", 4)
+    assert calls == [(0, 1000)]
+    assert blob == serial_bytes
 
 
 def test_failing_shard_is_raised_after_every_shard_stops(monkeypatch, tmp_path):
@@ -194,7 +232,7 @@ def test_failing_shard_is_raised_after_every_shard_stops(monkeypatch, tmp_path):
         finished.append((lo, hi))
         return counts
 
-    monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tritkd.simulate.os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     monkeypatch.setattr(tritkd.simulate, "_simulate_shard", second_shard_fails)
     path = tmp_path / "transcript.tsv"
     with pytest.raises(RuntimeError) as caught:
@@ -301,7 +339,7 @@ def test_shards_cover_every_trial(trials, monkeypatch):
         ranges.append((lo, hi))
         return np.zeros(81, dtype=np.int64)
 
-    monkeypatch.setattr(tritkd.simulate.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(tritkd.simulate.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
     run(SimConfig(trials=trials, seed=0), workers=3)
     ranges.sort()
@@ -955,7 +993,7 @@ def test_count_table_is_the_summary(trials, seed, attack, parts, workers, block)
         tempfile.TemporaryDirectory() as tmp,
         mock.patch.object(tritkd.simulate, "_BLOCK_TRIALS", block),
         # enough CPUs that each drawn worker count cuts its own shards
-        mock.patch.object(tritkd.simulate.os, "cpu_count", lambda: 8),
+        mock.patch.object(tritkd.simulate.os, "sched_getaffinity", lambda pid: set(range(8)), create=True),
     ):
         transcript = run(config, workers=workers)
         blob, written = _transcript_bytes(config, Path(tmp) / "transcript.tsv", workers)

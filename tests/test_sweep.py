@@ -114,6 +114,15 @@ def test_sweep_row_order_is_f_outer():
     assert [(r.f, r.lam) for r in rows] == [(0.1, 0.3), (0.1, 0.4), (0.2, 0.3), (0.2, 0.4)]
 
 
+def test_sweep_rows_record_types():
+    # a record array with the CSV's fields: the two flags booleans, the rest floats
+    rows = sweep_rows([0.1, 0.9], [0.5, 0.9, 1.0])
+    assert type(rows) is np.recarray and rows.shape == (6,)
+    assert rows.dtype.names == CSV_COLUMNS
+    assert [rows.dtype[name] for name in CSV_COLUMNS] == [np.dtype(float)] * 9 + [np.dtype(bool)] * 2
+    assert rows.bell_violated.tolist() == [False, False, False, False, True, True]
+
+
 def test_sweep_rows_match_scalar_closed_forms():
     # (1, -1/2) empties group 0 and (1, 1) empties groups 1 and 2; at
     # (0.8875, 0.2375) a squared scalar rounded apart from the array route
