@@ -42,8 +42,8 @@ _GUIDE_BITS = 12
 _GUIDE_SHIFT = 53 - _GUIDE_BITS
 
 # Trials per block, so the memory a shard uses does not grow with the run.  A block's Philox
-# words (32 bytes a trial, 512 KiB) and the shard's reused working arrays (18 bytes a trial, and
-# 16 plus the line width more when writing a transcript) fit in a core's 2 MiB L2 cache.  Shard
+# words (32 bytes a trial, 512 KiB; a transcript's lines are formatted in them once spent) and the
+# shard's reused working arrays (18 bytes a trial) fit in a core's 2 MiB L2 cache.  Shard
 # threads share one process, so their blocks add up in its peak: at 2**16 a shard held 2.5 MiB.
 # The price is time: two shard threads retake the GIL after each numpy call, once per block, so
 # 2**14 samples about 7 % slower than 2**16 on two workers, and 2**13 about 15 % (for 0.1 MiB).
@@ -125,12 +125,12 @@ class ProtocolTranscript:
     def sifted_length(self) -> int:
         return int(self.counts[8].sum())
 
-    # perfbench/spans.py reads its length; it leaves with ROADMAP item 3
+    # perfbench/spans.py reads its length; it leaves with ROADMAP item 2
     @functools.cached_property
     def sifted_key_alice(self) -> str:
         """Alice's key-round outcomes as digits, from a serial replay that keeps only key rounds."""
         parts = []
-        _run(self.config, 1, lambda: lambda start, cell, eve: parts.append((cell[cell >= 72] - 72) // 3))
+        _run(self.config, 1, lambda start, cell, eve, buffers: parts.append((cell[cell >= 72] - 72) // 3))
         return (np.concatenate(parts) + ord("0")).tobytes().decode("ascii")
 
 
@@ -206,17 +206,18 @@ def _simulate_shard(
     cum_settings: np.ndarray,
     cum_tables: np.ndarray,
     eve_w: np.ndarray | None,
-    sink: Callable[[int, np.ndarray, np.ndarray], None] | None,
+    sink: Callable[[int, np.ndarray, np.ndarray, tuple[np.ndarray, ...]], None] | None,
 ) -> np.ndarray:
     """Sample trials [lo, hi) as a full run does; return their 81 cell counts.
 
     Works in blocks of at most _BLOCK_TRIALS trials that never straddle a
     power of ten, in working arrays made once for the shard and reused by
-    every block.  Unless sink is None, it calls sink(start, cell, eve) with
-    each block's int8 cells and Eve codes (1 + 3 * subspace + guess on key
-    rounds under attack, else 0), from which write_transcript looks each
-    line up in tables; both are views of those arrays, overwritten by the
-    next block.  An index counts the integer thresholds its draw
+    every block.  Unless sink is None, it calls sink(start, cell, eve, buffers)
+    with each block's int8 cells and Eve codes (1 + 3 * subspace + guess on key
+    rounds under attack, else 0) once its Philox words are spent, lending it
+    those words as uint8 (32 bytes a trial: a 19-digit index and 13 bytes), the
+    int64 work and the key as "<u8" to format lines in; the next block
+    overwrites them all.  An index counts the integer thresholds its draw
     reaches, found with a guide table with a searchsorted fallback; setting
     s offsets its outcome thresholds by s << 53 in one sorted array, so the
     key (s << 53) + draw gives the trial's cell 9 * setting + 3 * a + b.
@@ -254,8 +255,9 @@ def _simulate_shard(
         _lookup(out_guide, out_thresh, key, work, cell)
         np.copyto(work, cell)  # bincount counts intp: int8 cells would be cast to a temporary
         counts += np.bincount(work, minlength=81)
-        if sink is not None:
-            sink(start, cell, _eve_codes(raw, cell, eve_thresh, eves[:n]))
+        if sink is not None:  # after _eve_codes, the last read of the block's words
+            eve = _eve_codes(raw, cell, eve_thresh, eves[:n])
+            sink(start, cell, eve, (raw.view(np.uint8).reshape(-1), work, key.view("<u8")))
         del raw  # freed before the next block is drawn, so the peak holds one block's words
         start = stop
     return counts
@@ -290,11 +292,11 @@ def _sampling_tables(config: SimConfig):
     return cum_settings, cum_tables, eve_w
 
 
-def _run(config: SimConfig, workers: int, make_sink) -> ProtocolTranscript:
+def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     """Sample every trial once, on shard threads; see run and write_transcript.
 
-    Unless make_sink is None, each shard calls it once for a sink of its own,
-    so whatever buffers a sink keeps belong to one thread.
+    Every shard calls sink unless it is None (see _simulate_shard); the shard
+    threads share it, so it keeps no state of its own.
     """
     if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
@@ -309,7 +311,6 @@ def _run(config: SimConfig, workers: int, make_sink) -> ProtocolTranscript:
 
     def shard(lo, hi):
         try:
-            sink = None if make_sink is None else make_sink()
             counts.append(_simulate_shard(config, lo, hi, *tables, sink))
         except BaseException as exc:  # raised in the caller, once every shard has stopped
             failures.append(exc)
@@ -370,8 +371,9 @@ def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray, buffers: tuple[np.ndarray, ...]) -> None:
     """Write a block's lines at their offset: records of high index digits, low ones and a tail.
 
-    The lines are formatted in the first items of buffers, one shard's uint8 line bytes, intp
-    index and "<u8" part, which must hold len(cell) lines of len(str(start)) + 13 bytes.
+    The lines are formatted in the first items of buffers, uint8 line bytes (a shard lends its
+    spent Philox words), an intp index and a "<u8" part, which must hold len(cell) lines of
+    len(str(start)) + 13 bytes.
     """
     n, width = len(cell), len(str(start))
     low = min(width, 4)
@@ -404,10 +406,11 @@ def _write_lines(fd: int, start: int, cell: np.ndarray, eve: np.ndarray, buffers
 def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTranscript:
     """run, also writing one tab-separated line per trial to path.
 
-    Each shard thread writes each of its blocks at its own offset in the file,
-    so shards never wait on each other and the bytes do not depend on the
-    worker count.  The lines go to a temporary file that replaces path only
-    when the run succeeds (see _staged), so a failed run keeps what was there.
+    Each shard thread formats each of its blocks in the block's own arrays and
+    writes it at its own offset in the file, so shards never wait on each other
+    and the bytes do not depend on the worker count.  The lines go to a
+    temporary file that replaces path only when the run succeeds (see
+    _staged), so a failed run keeps what was there.
     Raises OSError, before creating path, where os.pwrite is missing (not POSIX).
     """
     if not hasattr(os, "pwrite"):
@@ -415,13 +418,7 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
     with _staged(path) as target, open(target, "wb") as fh:
         fh.write(TRANSCRIPT_HEADER)
         fh.flush()
-        fd, n, width = fh.fileno(), min(config.trials, _BLOCK_TRIALS), len(str(config.trials - 1)) + 13
-
-        def make_sink():  # buffers for the longest block of the widest lines, one set per shard thread
-            buffers = np.empty(n * width, np.uint8), np.empty(n, np.intp), np.empty(n, "<u8")
-            return lambda start, cell, eve: _write_lines(fd, start, cell, eve, buffers)
-
-        return _run(config, workers, make_sink)
+        return _run(config, workers, functools.partial(_write_lines, fh.fileno()))
 
 
 def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:

@@ -632,18 +632,25 @@ def test_crossover_reproducible_bytes(log_base):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == GOLDEN_CROSSOVERS[log_base]
 
 
-# SHA-256 of (transcript.tsv, summary.json) for `simulate --trials 20000
-# --seed 42` plus the source flags; a stream-preserving rewrite must keep them.
+# SHA-256 of (transcript.tsv, summary.json) for `simulate --seed 42` plus the
+# trial count and source flags; a stream-preserving rewrite must keep them.
+# "blocks" spans many full 2**14-trial blocks per shard, and at 2 workers its
+# second shard crosses 10**5, where the index grows from 5 to 6 digits.
 GOLDEN_RUNS = {
     "honest": (
-        ("--honest",),
+        ("--trials", "20000", "--honest"),
         "bfcd61ded6c0b65081433c4c13dac2a273c98b88b0ba0e0ad9ad09d820e06a5b",
         "b57c2db6e13101274844a34e8f1e4caa2eef0a59043bb43ea069f0cad7425317",
     ),
     "attack": (
-        ("--f", "0.95", "--lam", "0.9"),
+        ("--trials", "20000", "--f", "0.95", "--lam", "0.9"),
         "62b74103971cd70a8581a61ef389ad0cb4589fee896236670c07799957543095",
         "a99611b66e3e6531c4049849027ab6ed96b56f28d6143cceb301d0384c0a1d1e",
+    ),
+    "blocks": (
+        ("--trials", "150000", "--f", "0.95", "--lam", "0.9"),
+        "bf4eb6df66dad088c1d5dd94bee6ce8131777166eca4448d194691790a685971",
+        "610ec70f6cac8c103d454363d328f84ea243434283a1318620346bc1b034ffad",
     ),
 }
 
@@ -651,9 +658,9 @@ GOLDEN_RUNS = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_simulate_reproducible_bytes(name, tmp_path):
     source, transcript_sha, summary_sha = GOLDEN_RUNS[name]
-    for workers in ("1", "4"):
+    for workers in ("1", "2", "4"):
         out = tmp_path / workers
-        args = ("simulate", "--trials", "20000", "--seed", "42", *source)
+        args = ("simulate", "--seed", "42", *source)
         assert tritkd(*args, "--workers", workers, "--out", str(out)).returncode == 0
         assert hashlib.sha256((out / "transcript.tsv").read_bytes()).hexdigest() == transcript_sha
         assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == summary_sha

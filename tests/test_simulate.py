@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo protocol engine."""
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -39,6 +40,7 @@ from tritkd.attack import (
 from tritkd.correlations import LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, bell_from_counts, bell_s, joint_probs
 from tritkd.quantum import max_entangled_state, standard_settings
 from tritkd.simulate import (
+    _DRAWS_PER_TRIAL,
     _GROUP_OF_FLAT,
     _GUIDE_BITS,
     _GUIDE_SHIFT,
@@ -615,9 +617,9 @@ def test_transcript_bytes_match_line_reference(trials, attack, tmp_path, monkeyp
 
 @pytest.mark.parametrize("trials", [1, 10, 11, 10**5, 10**5 + 1])
 def test_transcript_bytes_at_buffer_sizing_edges(trials, tmp_path):
-    # each shard's buffers hold min(trials, _BLOCK_TRIALS) lines as wide as the last trial's:
-    # counts where that is one line, where every line is that wide, where only the last line
-    # is, and where full blocks of narrower lines come before it
+    # each block's lines are formatted in its own Philox words and the shard's working arrays:
+    # counts where a shard has one line, where every line is as wide as the last trial's, where
+    # only the last line is, and where full blocks of narrower lines come before it
     config = SimConfig(trials=trials, seed=5, attack=AttackParams(f=0.9, lam=0.8))
     expected = _line_by_line_transcript(reference_shard(config, 0, trials, *_sampling_tables(config)))
     path = tmp_path / "transcript.tsv"
@@ -663,14 +665,49 @@ def _reference_lines(start, cell, eve) -> bytes:
     return "".join(lines).encode("ascii")
 
 
+def _lent_buffers(n):
+    """Arrays for n lines as a shard lends them: n trials' Philox words as uint8, 32 bytes a
+    trial, its int64 work and its int64 key viewed as "<u8"."""
+    words = np.empty((n, _DRAWS_PER_TRIAL), np.uint64)
+    return words.view(np.uint8).reshape(-1), np.empty(n, np.int64), np.empty(n, np.int64).view("<u8")
+
+
+def test_widest_line_fits_a_trials_words():
+    # SimConfig keeps trials below 2**63: the last index has 19 digits, and with the 13 bytes
+    # after it the line fills the trial's four 8-byte Philox words exactly
+    assert len(str(2**63 - 2)) + 13 == 8 * _DRAWS_PER_TRIAL
+
+
+def test_shard_formats_the_last_trials_in_their_own_words(monkeypatch):
+    # the writer in the arrays a shard lends, over 7-trial blocks of 19-digit indices up to the
+    # last trial SimConfig allows: the reference sampler's lines, each block at its offset
+    config = SimConfig(trials=2**63 - 1, seed=8, attack=AttackParams(f=0.9, lam=0.8))
+    lo = config.trials - 40
+    tables = _sampling_tables(config)
+    writes = []
+
+    def pwrite(fd, data, offset):
+        writes.append((offset, bytes(data)))
+        return len(data)
+
+    monkeypatch.setattr(tritkd.simulate.os, "pwrite", pwrite)
+    monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
+    _simulate_shard(config, lo, config.trials, *tables, functools.partial(_write_lines, -1))
+    pair, a, b, sub, guess = reference_shard(config, lo, config.trials, *tables)
+    cell, eve = 9 * pair + 3 * a + b, np.where(sub >= 0, 1 + 3 * sub + guess, 0)
+    assert len(writes) == 6 and (eve > 0).any()
+    offsets = itertools.accumulate((len(data) for _, data in writes[:-1]), initial=_line_offset(lo))
+    assert [offset for offset, _ in writes] == list(offsets)
+    assert b"".join(data for _, data in writes) == _reference_lines(lo, cell, eve)
+
+
 def _written_lines(start, cell, eve, monkeypatch, buffers=None) -> bytes:
-    """_write_lines's bytes for a block, formatted in buffers or else in buffers sized for
-    the block, and taken from os.pwrite calls that write at most 4099 bytes each, after
-    checking they write from the line buffer and continue each other from the block's line
+    """_write_lines's bytes for a block, formatted in buffers or else in arrays lent as a shard
+    lends them for the block, and taken from os.pwrite calls that write at most 4099 bytes each,
+    after checking they write from the line buffer and continue each other from the block's line
     offset (far beyond any file size for the largest indices)."""
     if buffers is None:
-        n = len(cell)
-        buffers = np.empty(n * (len(str(start)) + 13), np.uint8), np.empty(n, np.intp), np.empty(n, "<u8")
+        buffers = _lent_buffers(len(cell))
     writes = []
 
     def short_pwrite(fd, data, offset):
@@ -722,12 +759,11 @@ def test_write_lines_any_block(start, n, attack):
 
 
 def test_fixed_buffers_leave_no_stale_bytes(monkeypatch):
-    # one shard's buffers, made once for its longest block of its widest lines, through blocks
-    # whose lines narrow, widen across powers of ten and shorten, the buffers overwritten with
-    # 0xff bytes after each block: every block gives the reference lines
+    # arrays lent for a shard's longest block, through blocks whose lines narrow, widen across
+    # powers of ten and shorten, the arrays overwritten with 0xff bytes after each block: every
+    # block gives the reference lines
     blocks = [(123_456, 16_384), (5, 5), (99_990, 10), (10**7, 16_384), (10**18 - 3, 3), (42, 7)]
-    size = max(n for _, n in blocks)
-    buffers = np.empty(size * (19 + 13), np.uint8), np.empty(size, np.intp), np.empty(size, "<u8")
+    buffers = _lent_buffers(max(n for _, n in blocks))
     for k, (start, n) in enumerate(blocks):
         cell, eve = _block_codes(np.random.default_rng(k), n, attack=k % 2 == 0)
         assert _written_lines(start, cell, eve, monkeypatch, buffers) == _reference_lines(start, cell, eve)
@@ -760,11 +796,23 @@ def test_write_transcript_memory_does_not_grow_with_trials(tmp_path):
     assert abs(_traced_peak(write, 1 << 21) - _traced_peak(write, 1 << 17)) <= 1 << 20
 
 
-# Absolute per-block peaks at 2**17 trials, measured at 0.89 MiB for run and 1.44 MiB for
+def test_write_transcript_memory_is_the_runs(tmp_path):
+    # the writer formats in the arrays the shard lends and keeps none of its own: its traced
+    # peak is run's plus at most 128 KiB (measured 15 KiB over; writer buffers of its own for a
+    # block of 2**14 lines add 0.55 MiB)
+    def write(config):
+        write_transcript(config, tmp_path / "transcript.tsv")
+
+    _traced_peak(run, 1 << 10)
+    _traced_peak(write, 1 << 10)
+    assert _traced_peak(write, 1 << 17) <= _traced_peak(run, 1 << 17) + (128 << 10)
+
+
+# Absolute per-block peaks at 2**17 trials, measured at 0.895 MiB for run and 0.91 MiB for
 # write_transcript, plus a margin of about 1.1 MiB.  Blocks of 2**16 trials instead of 2**14
 # would add 1.5 MiB of Philox words alone; an 8-byte-per-trial temporary alive at the peak
 # adds 0.125 MiB.
-@pytest.mark.parametrize("call, bound_mib", [("run", 2.0), ("write_transcript", 2.5)], ids=["run", "write_transcript"])
+@pytest.mark.parametrize("call, bound_mib", [("run", 2.0), ("write_transcript", 2.0)], ids=["run", "write_transcript"])
 def test_block_memory_stays_within_measured_peak(call, bound_mib, tmp_path):
     if call == "run":
         target = run
@@ -798,8 +846,13 @@ def _shard_columns(config, lo, hi, tables):
     columns = np.full((5, config.trials), SENTINEL, dtype=np.int8)
     ends = [lo]
 
-    def record(start, cell, eve):
+    def record(start, cell, eve, buffers):
         assert cell.dtype == eve.dtype == np.int8 and cell.ndim == 1 and eve.shape == cell.shape
+        # the lent line area holds the block's lines; the index and part hold one item a trial
+        line, index, part = buffers
+        assert line.dtype == np.uint8 and len(line) >= len(cell) * (len(str(start)) + 13)
+        assert index.dtype == np.intp and part.dtype == np.dtype("<u8")
+        assert len(index) >= len(cell) and len(part) >= len(cell)
         stop = start + len(cell)
         # blocks are consecutive, at most _BLOCK_TRIALS long, and never
         # straddle a power of ten
