@@ -11,8 +11,8 @@ explicit 81-dimensional state with square-root-measurement projections.  The
 test suite holds them against each other; neither is derived from the other.
 The simulation samples the white-noise tables, tested against the explicit route.
 This module builds the explicit state; its reductions, the noise-mixture
-decomposition and the square-root-measurement directions are test references
-and live in tests/explicit.py.
+decomposition, the stacked subspace analysis and the square-root-measurement
+directions are test references and live in tests/explicit.py.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class AttackParams:
 
     @functools.cached_property
     def _groups(self) -> tuple[np.ndarray, ...]:
-        """(p0, p12, w0, w12): the group probabilities of _subspace_geometry and srm_success of
-        its two overlaps, computed once for every closed form that sums over the groups."""
+        """(p0, p12, w0, w12): the group probabilities of _subspace_geometry and srm_success of its two
+        overlaps, computed once for the closed forms that sum over the groups and for Eve's guesses."""
         p0, p12, lt0, lt12 = _subspace_geometry(self)
         return p0, p12, srm_success(lt0), srm_success(lt12)
 
@@ -129,21 +129,6 @@ def srm_success(overlap: float):
     return root
 
 
-@dataclass(frozen=True)
-class SubspaceAnalysis:
-    """Per-subspace projection probabilities and discrimination geometry.
-
-    p[i] is the probability the outcome pair lands in group i; lam_tilde[i]
-    the common overlap of the three conditional ancilla states there; w[i]
-    the square-root-measurement success probability.  Fields have shape (3,)
-    + the params' shape; lam_tilde and w are NaN where p is 0 (unsampled).
-    """
-
-    p: np.ndarray
-    lam_tilde: np.ndarray
-    w: np.ndarray
-
-
 def _subspace_geometry(params: AttackParams) -> tuple[np.ndarray, ...]:
     """(p0, p12, lam_tilde_0, lam_tilde_12) as arrays of the params' shape.
 
@@ -172,14 +157,6 @@ def _over_groups(params: AttackParams, per_group) -> np.ndarray:
 def _unwrap(x):
     """A float for scalar params, the array otherwise."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def subspace_analysis(params: AttackParams) -> SubspaceAnalysis:
-    """Closed-form subspace probabilities, ancilla overlaps, and success rates."""
-    p0, p12, lt0, lt12 = _subspace_geometry(params)
-    # w per group before stacking, as _over_groups computes it for the same params
-    w0, w12 = srm_success(lt0), srm_success(lt12)
-    return SubspaceAnalysis(*(np.stack([x, y, y]) for x, y in ((p0, p12), (lt0, lt12), (w0, w12))))
 
 
 def eve_error(params: AttackParams) -> float | np.ndarray:

@@ -1,14 +1,14 @@
-"""Joint outcome statistics, the complex correlation function, and the Bell quantity.
+"""The complex correlation function, the Bell quantity and its estimate from counts.
 
-The correlation here is the closed form from the phase settings; its reference,
-the correlation of an explicit outcome table, is in tests/explicit.py.
+The correlation here is the closed form from the phase settings; its references,
+the pure-state outcome table and its correlation, are in tests/explicit.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quantum import ALPHA, tensor, tritter_unitary
+from .quantum import ALPHA
 
 # Largest value the Bell quantity can take under local realism.
 LOCAL_REALISM_BOUND = np.sqrt(3.0)
@@ -23,29 +23,6 @@ _OUTCOME_PHASE = ALPHA ** np.add.outer(np.arange(3), np.arange(3))
 
 # The Bell functional S = Im(sum of weight * Q_kl), added in this order.
 BELL_WEIGHTS = {(1, 1): -ALPHA**2, (1, 2): ALPHA, (2, 1): ALPHA**2, (2, 2): -ALPHA**2}
-
-
-def _checked_table(p: np.ndarray) -> np.ndarray:
-    # Clamp floating-point dust; anything more negative is a construction bug.
-    # Each check is written so that NaN fails it.
-    if not p.min() >= -1e-12:
-        raise ValueError(f"negative probability {p.min():.3e}")
-    total = p.sum()
-    if not abs(total - 1.0) <= 1e-10:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return np.clip(p, 0.0, None)
-
-
-def joint_probs(state, phases_a, phases_b) -> np.ndarray:
-    """Outcome probabilities p[a, b] after both tritters act on a pure state."""
-    psi = np.asarray(state, dtype=complex)
-    if psi.shape != (9,):
-        raise ValueError(f"state must be a 9-vector, got shape {psi.shape}")
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= 1e-8:
-        raise ValueError(f"state is not normalized (norm {norm})")
-    amp = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b)) @ psi
-    return _checked_table(np.abs(amp.reshape(3, 3)) ** 2)
 
 
 def correlation_q_closed(phases_a, phases_b) -> complex:

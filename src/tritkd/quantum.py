@@ -1,4 +1,4 @@
-"""The optics of the qutrit protocol: tritters, settings and the source state.
+"""The optics of the qutrit protocol: tritters and settings.
 
 State vectors are flat complex numpy vectors (a two-qutrit ket |ab> sits at
 index 3a+b), and tensor builds two-qutrit products.  All functions are pure
@@ -54,13 +54,6 @@ def standard_settings() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
         np.array([-np.pi, 0.0, np.pi]),
     )
     return alice, bob
-
-
-def max_entangled_state() -> np.ndarray:
-    """(|00> + |11> + |22>) / sqrt(3) as a flat 9-vector."""
-    psi = np.zeros(9, dtype=complex)
-    psi[[0, 4, 8]] = 1.0 / np.sqrt(3)
-    return psi
 
 
 def tensor(a, b) -> np.ndarray:

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import SUBSPACE_PAIRS, AttackParams, subspace_analysis
+from .attack import SUBSPACE_PAIRS, AttackParams
 from .attack import transformed_tripartite  # noqa: F401 -- perfbench/spans.py wraps it on this module
-from .correlations import LOCAL_REALISM_BOUND, bell_from_counts, joint_probs
-from .quantum import max_entangled_state, standard_settings
+from .correlations import LOCAL_REALISM_BOUND, bell_from_counts
+from .quantum import ALPHA, standard_settings
 
 # Uniforms consumed per trial (settings, outcome, eve guess, spare).  Four is
 # exactly one Philox block, so trial i starts at counter offset i and shards
@@ -135,11 +135,15 @@ class ProtocolTranscript:
 
 
 def _outcome_tables(config: SimConfig) -> np.ndarray:
-    """Exact p(a, b) for each setting pair, flattened to (9, 9): the pair source's tables T
-    at visibility v (1 when honest) plus white noise, v T + (1 - v)/9 (proof in the README),
-    clipped at 0 where rounding leaves -2e-16 in the cells that vanish at v = -1/2."""
-    alice, bob = standard_settings()
-    honest = np.array([joint_probs(max_entangled_state(), pa, pb).ravel() for pa in alice for pb in bob])
+    """Exact p(a, b) for each setting pair, flattened to (9, 9): the pair source's tables
+    T_xy(a, b) = |sum_k exp(i(phiA_xk + phiB_yk)) ALPHA**(k(a + b))|**2 / 27 (Kaszlikowski et al.,
+    PRL 85, 4418 (2000)) at visibility v (1 when honest) plus white noise, v T + (1 - v)/9 (proof
+    in the README), clipped at 0 where rounding leaves -2e-16 in the cells that vanish at v = -1/2."""
+    alice, bob = np.array(standard_settings())
+    k = np.arange(3)
+    # the phase factors of setting pair 3x + y over detector k, times ALPHA**(k(a + b)) over outcome 3a + b
+    phases = np.exp(1j * (alice[:, None] + bob)).reshape(9, 3)
+    honest = np.abs(phases @ ALPHA ** np.outer(k, np.add.outer(k, k))) ** 2 / 27.0
     v = 1.0 if config.attack is None else config.attack.visibility
     return np.clip(v * honest + (1.0 - v) / 9.0, 0.0, None)
 
@@ -287,8 +291,10 @@ def _sampling_tables(config: SimConfig):
     cum_settings[-1] = 1.0  # guard the top bin against cumsum rounding
     cum_tables = np.cumsum(_outcome_tables(config), axis=1)
     cum_tables[:, -1] = 1.0
-    # w is NaN only for a group of probability 0, never sampled; 1/3 keeps it finite
-    eve_w = None if config.attack is None else np.nan_to_num(subspace_analysis(config.attack).w, nan=1.0 / 3.0)
+    eve_w = None
+    if config.attack is not None:  # w is NaN only for a group of probability 0, never sampled; 1/3 keeps it finite
+        w0, w12 = config.attack._groups[2:]
+        eve_w = np.nan_to_num([w0, w12, w12], nan=1.0 / 3.0)
     return cum_settings, cum_tables, eve_w
 
 
@@ -422,7 +428,7 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
 
 
 def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
-    """JSON-ready summary of a run."""
+    """JSON-ready summary of a run; setting_weights only when given, so a uniform run keeps its bytes."""
     return {
         "trials": config.trials,
         "seed": config.seed,
@@ -435,6 +441,7 @@ def summary_dict(config: SimConfig, transcript: ProtocolTranscript) -> dict:
         "sifted_length": transcript.sifted_length,
         "aborted": transcript.aborted,
         "abort_reason": transcript.abort_reason,
+        **({} if config.setting_weights is None else {"setting_weights": list(config.setting_weights)}),
     }
 
 

@@ -79,7 +79,7 @@ def sweep_rows(f_values, lam_values, log_base: float = 3.0) -> np.recarray:
     f, lam = np.meshgrid(np.asarray(f_values, float), np.asarray(lam_values, float), indexing="ij")
     params = AttackParams(f=f.ravel(), lam=lam.ravel())
     v = params.visibility
-    p0, p1 = params._groups[:2]  # subspace_analysis(params).p, from what e_eve and i_ae share
+    p0, p1 = params._groups[:2]  # the group probabilities, from what e_eve and i_ae share
     i_ab = mutual_info_ab(params, log_base)
     i_ae = mutual_info_ae(params, log_base)
     columns = (

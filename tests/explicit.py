@@ -1,15 +1,18 @@
 """Explicit-state references the closed forms and the simulation are tested against.
 
 No command runs these: the library computes every result from closed forms
-in (f, lam) and from the white-noise outcome tables.  Here the same
-quantities are built the long way, for the tests to hold the library to:
+in (f, lam) and from the closed-form white-noise outcome tables.  Here the
+same quantities are built the long way, for the tests to hold the library to:
+the source state (|00> + |11> + |22>) / sqrt(3) and the outcome table of a
+pure two-qutrit state through the tensor product of two tritter unitaries,
 the Hermitian eigendecomposition and the general Gram realisation built on
 it (the library roots its one ancilla Gram in closed form),
 the noise-mixture decomposition of the reduced Alice-Bob state and its
 assembly as a 9x9 density matrix, the reduced state traced out of Eve's
-81-dimensional tripartite state, the square-root-measurement directions,
-the complex correlation of an outcome table, and the slot of each outcome
-within its SUBSPACE_PAIRS group.
+81-dimensional tripartite state, the per-group subspace analysis stacked over
+the three groups, the square-root-measurement directions, the complex
+correlation of an outcome table, and the slot of each outcome within its
+SUBSPACE_PAIRS group.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tritkd.attack import SUBSPACE_PAIRS, AttackParams, build_tripartite
+from tritkd.attack import SUBSPACE_PAIRS, AttackParams, _subspace_geometry, build_tripartite, srm_success
 from tritkd.correlations import _OUTCOME_PHASE
-from tritkd.quantum import ALPHA, max_entangled_state
+from tritkd.quantum import ALPHA, tensor, tritter_unitary
 
 _HERMITIAN_ATOL = 1e-10
 
@@ -66,6 +69,13 @@ def vectors_from_gram(gram) -> list[np.ndarray]:
     return [root[:, i].copy() for i in range(len(vals))]
 
 
+def max_entangled_state() -> np.ndarray:
+    """(|00> + |11> + |22>) / sqrt(3) as a flat 9-vector."""
+    psi = np.zeros(9, dtype=complex)
+    psi[[0, 4, 8]] = 1.0 / np.sqrt(3)
+    return psi
+
+
 def chi_state(k: int) -> np.ndarray:
     """Maximally entangled two-qutrit states orthogonal to the source state.
 
@@ -98,6 +108,29 @@ def trace_out_ancilla(vec, sys_dim: int, anc_dim: int) -> np.ndarray:
     return m @ m.conj().T
 
 
+def _checked_table(p: np.ndarray) -> np.ndarray:
+    # Clamp floating-point dust; anything more negative is a construction bug.
+    # Each check is written so that NaN fails it.
+    if not p.min() >= -1e-12:
+        raise ValueError(f"negative probability {p.min():.3e}")
+    total = p.sum()
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return np.clip(p, 0.0, None)
+
+
+def joint_probs(state, phases_a, phases_b) -> np.ndarray:
+    """Outcome probabilities p[a, b] after both tritters act on a pure state."""
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (9,):
+        raise ValueError(f"state must be a 9-vector, got shape {psi.shape}")
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= 1e-8:
+        raise ValueError(f"state is not normalized (norm {norm})")
+    amp = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b)) @ psi
+    return _checked_table(np.abs(amp.reshape(3, 3)) ** 2)
+
+
 def correlation_q(table) -> complex:
     """Complex correlation: sum of ALPHA**(a+b) * p[a, b] over the table."""
     p = np.asarray(table, dtype=float)
@@ -120,6 +153,29 @@ class NoiseCoefficients:
     b: float
     c: float
     d: float
+
+
+@dataclass(frozen=True)
+class SubspaceAnalysis:
+    """Per-subspace projection probabilities and discrimination geometry.
+
+    p[i] is the probability the outcome pair lands in group i; lam_tilde[i]
+    the common overlap of the three conditional ancilla states there; w[i]
+    the square-root-measurement success probability.  Fields have shape (3,)
+    + the params' shape; lam_tilde and w are NaN where p is 0 (unsampled).
+    """
+
+    p: np.ndarray
+    lam_tilde: np.ndarray
+    w: np.ndarray
+
+
+def subspace_analysis(params: AttackParams) -> SubspaceAnalysis:
+    """Closed-form subspace probabilities, ancilla overlaps, and success rates."""
+    p0, p12, lt0, lt12 = _subspace_geometry(params)
+    # w per group before stacking, as _over_groups computes it for the same params
+    w0, w12 = srm_success(lt0), srm_success(lt12)
+    return SubspaceAnalysis(*(np.stack([x, y, y]) for x, y in ((p0, p12), (lt0, lt12), (w0, w12))))
 
 
 def coefficients(params: AttackParams) -> NoiseCoefficients:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import Generator, Philox
 
-from explicit import _SLOT_OF_FLAT, srm_directions
+from explicit import _SLOT_OF_FLAT, _checked_table, srm_directions
 from tritkd.attack import (
     _UNMATCHED,
     SUBSPACE_PAIRS,
@@ -36,7 +36,7 @@ from tritkd.attack import (
     mutual_info_ae,
     transformed_tripartite,
 )
-from tritkd.correlations import ALPHA, _checked_table
+from tritkd.correlations import ALPHA
 from tritkd.quantum import standard_settings, tensor, tritter_unitary
 from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT
 from tritkd.sweep import CSV_COLUMNS, _best_gap, _false_position

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from explicit import correlation_q, srm_directions, vectors_from_gram
+from explicit import correlation_q, joint_probs, max_entangled_state, srm_directions, subspace_analysis, vectors_from_gram
 from oracles import (
     ab_joint_table_explicit,
     eve_joint_table_explicit,
@@ -26,7 +26,6 @@ from tritkd.attack import (
     eve_error,
     mutual_info_ab,
     mutual_info_ae,
-    subspace_analysis,
 )
 from tritkd.correlations import (
     CRITICAL_VISIBILITY,
@@ -34,9 +33,8 @@ from tritkd.correlations import (
     QUANTUM_BELL_VALUE,
     bell_s,
     correlation_q_closed,
-    joint_probs,
 )
-from tritkd.quantum import max_entangled_state, standard_settings, tritter_unitary
+from tritkd.quantum import standard_settings, tritter_unitary
 from tritkd.simulate import SimConfig, run
 from tritkd.sweep import find_crossover
 

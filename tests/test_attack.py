@@ -9,8 +9,10 @@ from explicit import (
     coefficients,
     correlation_q,
     density_from_coefficients,
+    max_entangled_state,
     reduced_density,
     srm_directions,
+    subspace_analysis,
     trace_out_ancilla,
     vectors_from_gram,
 )
@@ -34,11 +36,10 @@ from tritkd.attack import (
     mutual_info_ab,
     mutual_info_ae,
     srm_success,
-    subspace_analysis,
     transformed_tripartite,
 )
 from tritkd.correlations import CRITICAL_VISIBILITY, correlation_q_closed
-from tritkd.quantum import max_entangled_state, standard_settings
+from tritkd.quantum import standard_settings
 from tritkd.simulate import _GROUP_OF_FLAT
 
 

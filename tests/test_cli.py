@@ -676,6 +676,22 @@ def test_simulate_attack_summary():
     assert summary["source"] == "attack"
 
 
+def test_simulate_summary_records_weights_only_when_given(capsys):
+    # the same trials and seed give other results under other weights, so a weighted run's
+    # summary names its weights; a run at the default uniform weights keeps its keys
+    weights = "0.05,0.05,0,0.05,0.05,0,0,0,0.8"
+    summaries = []
+    for extra in ((), ("--weights", weights)):
+        assert cli.main(["simulate", "--trials", "1000", "--seed", "3", "--honest", *extra]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    uniform, weighted = summaries
+    assert "setting_weights" not in uniform
+    assert weighted.pop("setting_weights") == [float(w) for w in weights.split(",")]
+    assert uniform.keys() == weighted.keys()
+    assert (round(uniform["s_estimate"], 4), uniform["sifted_length"]) == (2.6009, 116)
+    assert (round(weighted["s_estimate"], 4), weighted["sifted_length"]) == (2.5675, 795)
+
+
 def test_simulate_undisturbed_attack():
     result = tritkd("simulate", "--trials", "20000", "--seed", "3", "--f", "1", "--lam", "1")
     summary = json.loads(result.stdout)

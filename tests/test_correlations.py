@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from explicit import chi_state, correlation_q
+from explicit import chi_state, correlation_q, joint_probs, max_entangled_state
 from oracles import LOCAL_MODEL_AT_V0, joint_probs_rho
 from tritkd.attack import AttackParams
 from tritkd.correlations import (
@@ -14,9 +14,8 @@ from tritkd.correlations import (
     QUANTUM_BELL_VALUE,
     bell_s,
     correlation_q_closed,
-    joint_probs,
 )
-from tritkd.quantum import ALPHA, max_entangled_state, standard_settings
+from tritkd.quantum import ALPHA, standard_settings
 from tritkd.simulate import SimConfig, _outcome_tables
 
 ALICE, BOB = standard_settings()

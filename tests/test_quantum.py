@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from explicit import InfeasibleGramError, chi_state, inv_sqrt, trace_out_ancilla, vectors_from_gram
-from tritkd.quantum import ALPHA, max_entangled_state, standard_settings, tensor, tritter_unitary
+from explicit import InfeasibleGramError, chi_state, inv_sqrt, max_entangled_state, trace_out_ancilla, vectors_from_gram
+from tritkd.quantum import ALPHA, standard_settings, tensor, tritter_unitary
 
 
 def test_tritter_zero_phases_entries():

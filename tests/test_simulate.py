@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 import tritkd.simulate
-from explicit import _SLOT_OF_FLAT, correlation_q, reduced_density
+from explicit import _SLOT_OF_FLAT, correlation_q, joint_probs, max_entangled_state, reduced_density, subspace_analysis
 from oracles import (
     code_columns,
     feasible_grid,
@@ -34,11 +34,10 @@ from tritkd.attack import (
     AttackParams,
     ab_error,
     eve_error,
-    subspace_analysis,
     transformed_tripartite,
 )
-from tritkd.correlations import LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, bell_from_counts, bell_s, joint_probs
-from tritkd.quantum import max_entangled_state, standard_settings
+from tritkd.correlations import LOCAL_REALISM_BOUND, QUANTUM_BELL_VALUE, bell_from_counts, bell_s
+from tritkd.quantum import standard_settings
 from tritkd.simulate import (
     _DRAWS_PER_TRIAL,
     _GROUP_OF_FLAT,
@@ -499,19 +498,25 @@ def test_bell_routes_agree(attack):
     assert abs(s_counts - QUANTUM_BELL_VALUE * v) < 1e-9
 
 
-def test_honest_tables_are_the_pair_source_bit_for_bit():
-    alice, bob = standard_settings()
-    tables = [joint_probs(max_entangled_state(), pa, pb).ravel() for pa in alice for pb in bob]
-    assert _outcome_tables(SimConfig(trials=1, seed=0)).tobytes() == np.array(tables).tobytes()
+def test_honest_tables_take_the_closed_form_values():
+    # every entry of 9T, T the tritter tables of the source state, is one of eight values
+    values = [0.0, 2 * (2 - np.sqrt(3)) / 3, 1 / 3, 2 / 3, 4 / 3, 5 / 3, 2 * (2 + np.sqrt(3)) / 3, 3.0]
+    nine_t = 9.0 * _outcome_tables(SimConfig(trials=1, seed=0))
+    assert np.abs(nine_t[..., None] - values).min(axis=-1).max() < 1e-14
 
 
 def test_attacked_tables_match_the_explicit_state():
-    # v * honest + (1 - v)/9 against the 81-vector summed over the ancilla and
-    # against the reduced density matrix, for every setting pair
+    # the honest closed form against the source state, as a pure state and as a density matrix;
+    # v * honest + (1 - v)/9 against the 81-vector summed over the ancilla and against the
+    # reduced density matrix; each for every setting pair
     alice, bob = standard_settings()
     fs, lams = feasible_grid()
     points = [(f, lam) for f in fs for lam in lams] + [(0.0, -0.5), (0.0, 1.0), (1.0, -0.5), (1.0, 1.0)]
-    tables, summed, traced = [], [], []
+    psi = max_entangled_state()
+    tables, summed, traced = [_outcome_tables(SimConfig(trials=1, seed=0))], [], []
+    for pa, pb in itertools.product(alice, bob):
+        summed.append(joint_probs(psi, pa, pb).ravel())
+        traced.append(joint_probs_rho(np.outer(psi, psi.conj()), pa, pb).ravel())
     for f, lam in points:
         params = AttackParams(f=f, lam=lam)
         tables.append(_outcome_tables(SimConfig(trials=1, seed=0, attack=params)))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from explicit import subspace_analysis
 from oracles import (
     DECIMAL_CONTEXT,
     decimal_max_gap,
@@ -27,7 +28,6 @@ from tritkd.attack import (
     eve_error,
     mutual_info_ab,
     mutual_info_ae,
-    subspace_analysis,
 )
 from tritkd.correlations import CRITICAL_VISIBILITY
 from tritkd.simulate import SimConfig, run
