@@ -11,6 +11,7 @@ single-threaded stream bit for bit, and any trial range can be replayed.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import json
 import operator
@@ -417,11 +418,13 @@ def write_transcript(config: SimConfig, path, workers: int = 1) -> ProtocolTrans
     and the bytes do not depend on the worker count.  The lines go to a
     temporary file that replaces path only when the run succeeds (see
     _staged), so a failed run keeps what was there.
-    Raises OSError, before creating path, where os.pwrite is missing (not POSIX).
+    Raises OSError before writing where os.pwrite is missing (not POSIX) or path cannot seek (a pipe).
     """
     if not hasattr(os, "pwrite"):
         raise OSError("writing a transcript needs os.pwrite, which this platform lacks")
     with _staged(path) as target, open(target, "wb") as fh:
+        if not fh.seekable():  # pwrite would fail after a block's work, with an error naming no file
+            raise OSError(errno.ESPIPE, os.strerror(errno.ESPIPE), os.fspath(path))
         fh.write(TRANSCRIPT_HEADER)
         fh.flush()
         return _run(config, workers, functools.partial(_write_lines, fh.fileno()))
@@ -455,45 +458,24 @@ def write_summary(config: SimConfig, transcript: ProtocolTranscript, path) -> No
 def _staged(path):
     """The path to write in a with block in place of path, so a failed write keeps what was there.
 
-    A missing or regular-file path gets a new temporary file beside it, which
-    replaces it when the block succeeds and is discarded when the block fails.
-    A temporary that an enclosing _staged made is written as itself, and that
-    block renames or discards it: so nested blocks replace their paths only
-    when all of their writes succeed, the innermost first, one rename after
-    another, not as one step.  A symlink, pipe, device or directory is written
-    as itself: it is not the run's to replace, and a failure leaves it as it is.
+    A missing or regular-file path is written as a new temporary file beside
+    it, owner-writable until it takes path's mode (or a new file's, 0o666 less
+    the umask) and replaces path when the block succeeds; a failure discards
+    it.  A regular file that open would refuse is refused first, by open's error.
+    Written as themselves: a temporary that an enclosing _staged made, which
+    that block renames or discards, so nested blocks rename the innermost
+    first; and a symlink, pipe, device or directory, not the run's to replace.
     """
-    target = _stage(path)
     try:
-        yield target
-        if target is not path:
-            with contextlib.suppress(OSError):  # a file system without modes keeps its own
-                os.chmod(target, target.mode)
-            os.replace(target, path)
-    except BaseException:
-        if target is not path:
-            _discard(target)
-        raise
-
-
-class _Temporary(str):
-    """A temporary file that _stage made, with the mode its path gets at the rename."""
-
-
-def _stage(path):
-    """Where _staged writes path: beside a missing or regular-file path, a new owner-writable
-    _Temporary that carries that file's mode or a new file's; else path itself, a _Temporary too."""
-    if isinstance(path, _Temporary):
-        return path
-    try:
-        st = os.lstat(path)
+        st = None if isinstance(path, _Temporary) else os.lstat(path)
     except FileNotFoundError:
         umask = os.umask(0o077)  # no call only reads the umask
         os.umask(umask)
         mode = 0o666 & ~umask
     else:
-        if not stat.S_ISREG(st.st_mode):
-            return path
+        if st is None or not stat.S_ISREG(st.st_mode):
+            yield path
+            return
         os.close(os.open(path, os.O_WRONLY))  # open's own error for a file it would refuse; no truncation
         mode = stat.S_IMODE(st.st_mode)
     directory, name = os.path.split(path)
@@ -503,10 +485,20 @@ def _stage(path):
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     os.close(fd)
     temporary = _Temporary(temporary)
-    temporary.mode = mode
-    with contextlib.suppress(OSError):  # mkstemp's 0o600, less the umask; a file system without modes keeps its own
-        os.chmod(temporary, 0o600)
-    return temporary
+    try:
+        with contextlib.suppress(OSError):  # mkstemp's 0o600, less the umask; a file system without modes keeps its own
+            os.chmod(temporary, 0o600)
+        yield temporary
+        with contextlib.suppress(OSError):
+            os.chmod(temporary, mode)
+        os.replace(temporary, path)
+    except BaseException:
+        _discard(temporary)
+        raise
+
+
+class _Temporary(str):
+    """A temporary file that _staged made, which the _staged that made it renames or discards."""
 
 
 def _discard(path) -> None:

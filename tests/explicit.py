@@ -11,8 +11,8 @@ the noise-mixture decomposition of the reduced Alice-Bob state and its
 assembly as a 9x9 density matrix, the reduced state traced out of Eve's
 81-dimensional tripartite state, the per-group subspace analysis stacked over
 the three groups, the square-root-measurement directions, the complex
-correlation of an outcome table, and the slot of each outcome within its
-SUBSPACE_PAIRS group.
+correlation of an outcome table, the slot of each outcome within its
+SUBSPACE_PAIRS group, and the Philox4x64-10 generator the sampler draws from.
 """
 
 from __future__ import annotations
@@ -227,3 +227,17 @@ def srm_directions(states) -> list[np.ndarray]:
         raise DegenerateDiscriminationError(rank)
     root = inv_sqrt(phi, tol=1e-10 * scale)
     return [root @ v for v in vecs]
+
+
+def philox4x64_10(counter: int, key: int) -> list[int]:
+    """The four 64-bit words of Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random
+    numbers: as easy as 1, 2, 3", SC '11) at a 256-bit counter under a 128-bit key, both split
+    into 64-bit words low word first, as numpy's Philox holds them."""
+    mask = 2**64 - 1
+    x = [counter >> 64 * j & mask for j in range(4)]
+    k = [key & mask, key >> 64 & mask]
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * x[0], 0xCA5A826395121157 * x[2]
+        x = [p1 >> 64 ^ x[1] ^ k[0], p1 & mask, p0 >> 64 ^ x[3] ^ k[1], p0 & mask]
+        k = [k[0] + 0x9E3779B97F4A7C15 & mask, k[1] + 0xBB67AE8584CAA73B & mask]
+    return x

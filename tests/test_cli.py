@@ -379,6 +379,19 @@ def test_sweep_failed_write_keeps_the_earlier_file(tmp_path):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_sweep_onto_a_directory_is_refused_by_its_name(capsys, tmp_path):
+    # a directory is not the run's to replace: it is opened as itself, which open refuses,
+    # and it keeps what it holds, with no temporary made beside it
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    (out / "kept").write_text("kept\n")
+    assert cli.main(["sweep", "--steps", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == [out / "kept"]
+    assert (out / "kept").read_text() == "kept\n"
+
+
 def test_replaced_output_keeps_its_mode(tmp_path):
     # a replaced file keeps its permissions, and a new one gets a plainly opened file's
     old, new = tmp_path / "old.csv", tmp_path / "new.csv"
@@ -886,6 +899,44 @@ def test_failed_simulate_out_keeps_a_symlinked_transcript(monkeypatch, capsys, t
     assert capsys.readouterr().err == "error: x\n"
     assert (out / "transcript.tsv").is_symlink()
     assert target.stat().st_size > 0
+
+
+@contextlib.contextmanager
+def _pipe_link(link):
+    """A symlink at link to the write end of a new pipe; yields the read end, which reads what
+    was written once the block closes the write end."""
+    read, write = os.pipe()
+    link.symlink_to(f"/dev/fd/{write}")
+    try:
+        yield read
+    finally:
+        os.close(write)
+        os.close(read)
+
+
+def test_simulate_refuses_a_pipe_at_the_transcript_by_its_name(capsys, tmp_path):
+    # the lines are written at their offsets, which a pipe cannot take: the run is refused before
+    # the header, with an error naming the file, not once a block's pwrite fails with ESPIPE alone
+    out = tmp_path / "run"
+    out.mkdir()
+    with _pipe_link(out / "transcript.tsv") as read:
+        argv = ["simulate", "--trials", "100000", "--seed", "1", "--honest", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 29] Illegal seek: '{out}/transcript.tsv'\n"
+        os.set_blocking(read, False)
+        with pytest.raises(BlockingIOError):  # empty, with the write end still open
+            os.read(read, 1)
+    assert list(out.iterdir()) == [out / "transcript.tsv"]
+
+
+def test_sweep_streams_into_a_pipe(capsys, tmp_path):
+    # the CSV is written in order, so a pipe at --out takes it as a file would
+    assert cli.main(["sweep", "--steps", "3", "--out", str(tmp_path / "file.csv")]) == 0
+    with _pipe_link(tmp_path / "pipe.csv") as read:
+        assert cli.main(["sweep", "--steps", "3", "--out", str(tmp_path / "pipe.csv")]) == 0
+        os.set_blocking(read, False)
+        assert os.read(read, 1 << 16) == (tmp_path / "file.csv").read_bytes()
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file.csv", tmp_path / "pipe.csv"]
 
 
 def test_simulate_summary_failing_at_close_leaves_nothing_new(tmp_path):

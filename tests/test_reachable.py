@@ -4,7 +4,8 @@ Code that only the tests call lives under tests/, as the explicit-state
 references of tests/explicit.py do; this guard names any library definition
 that nothing else in src/tritkd refers to, any import a module never uses, and any
 private module constant the package never reads, any file removal outside
-simulate._discard, and any file opened for writing other than through simulate._staged.
+simulate._discard, any file staged or replaced outside simulate._staged, and any
+file opened for writing other than through simulate._staged.
 """
 
 import ast
@@ -78,18 +79,28 @@ def test_every_private_constant_is_read():
     assert unread == []
 
 
-def test_only_discard_removes_files():
-    # what a failed write may delete is decided in one place: each unlink or remove call, named
-    # by the top-level definition that holds it, must be the one in simulate._discard
-    calls = [
+def _holders(callees: set) -> list[str]:
+    """module:definition of the top-level definition that holds each call of a name in callees,
+    a plain name or an attribute, in source order."""
+    return [
         f"{path.name}:{getattr(statement, 'name', '<module>')}"
         for path in sorted(SRC.glob("*.py"))
         for statement in ast.parse(path.read_text(), path.name).body
         for node in ast.walk(statement)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"unlink", "remove"}
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in callees
     ]
-    assert calls == ["simulate.py:_discard"]
+
+
+def test_only_discard_removes_files():
+    # what a failed write may delete is decided in one place: each unlink or remove call, named
+    # by the top-level definition that holds it, must be the one in simulate._discard
+    assert _holders({"unlink", "remove"}) == ["simulate.py:_discard"]
+
+
+def test_only_staged_stages_files():
+    # how an output file is replaced is decided in one place: each mkstemp, umask, replace and
+    # chmod call, named by the top-level definition that holds it, is in simulate._staged
+    assert set(_holders({"mkstemp", "umask", "replace", "chmod"})) == {"simulate.py:_staged"}
 
 
 def _callee(node) -> str | None:
