@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import tensor, tritter_unitary
+from .quantum import tritter_unitary
 
 # Outcome pairs under the key settings, grouped by the ancilla subspace they
 # select.  Group 0 is the correct-key group; 1 and 2 are the two wrong-key
@@ -111,7 +111,7 @@ def build_tripartite(params: AttackParams) -> np.ndarray:
 def transformed_tripartite(params: AttackParams, phases_a, phases_b) -> np.ndarray:
     """Tripartite state after both tritters act on the qutrits (ancilla index last, untouched):
     the explicit route the tests hold the simulation's white-noise outcome tables against."""
-    u = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b))
+    u = np.kron(tritter_unitary(phases_a), tritter_unitary(phases_b))
     return (u @ build_tripartite(params).reshape(9, 9)).ravel()
 
 

@@ -1,9 +1,9 @@
 """Command-line interface: bell report, parameter sweep, crossover, simulation.
 
-Commands raise; main alone maps exceptions to exit codes: 2 with a usage message
-on ValueError (bad input, found here or in the library), 1 with `error: ...` on
-OSError, RuntimeError or MemoryError, 0 on success.  Anything else propagates,
-RecursionError and NotImplementedError too: they are RuntimeErrors, but bugs.
+Subcommands are registered on the parser; commands return nothing and raise.  main alone
+returns exit codes: 2 with a usage message on ValueError (bad input, found here or in the
+library), 1 with `error: ...` on OSError, RuntimeError or MemoryError, 0 on success.  Anything
+else propagates, RecursionError and NotImplementedError too: they are RuntimeErrors, but bugs.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _parse_settings(text: str):
     return tuple(vecs[:3]), tuple(vecs[3:])
 
 
-def cmd_bell(args) -> int:
+def cmd_bell(args) -> None:
     alice, bob = standard_settings() if args.settings is None else _parse_settings(args.settings)
     v = args.visibility  # NaN fails both comparisons
     if not LAM_DOMAIN[0] <= v <= LAM_DOMAIN[1]:
@@ -74,7 +74,6 @@ def cmd_bell(args) -> int:
     print(f"S = {s:.6f}")
     print(f"local-realism bound = {LOCAL_REALISM_BOUND:.6f}")
     print(f"critical visibility V0 = {CRITICAL_VISIBILITY:.6f}")
-    return 0
 
 
 def _clip_range(lo: float, hi: float, domain: tuple[float, float], name: str, notes):
@@ -88,7 +87,7 @@ def _clip_range(lo: float, hi: float, domain: tuple[float, float], name: str, no
     return clo, chi
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     notes = []
     f_lo, f_hi = _clip_range(args.f_min, args.f_max, F_DOMAIN, "f", notes)
     l_lo, l_hi = _clip_range(args.lam_min, args.lam_max, LAM_DOMAIN, "lam", notes)
@@ -117,16 +116,14 @@ def cmd_sweep(args) -> int:
             for start in range(0, len(rows), _CSV_BLOCK):
                 fh.write(format_csv(rows[start : start + _CSV_BLOCK], header=False, scratch=scratch))
     print(f"wrote {args.steps**2} rows to {args.out}")
-    return 0
 
 
-def cmd_crossover(args) -> int:
+def cmd_crossover(args) -> None:
     result = find_crossover(tolerance=args.tolerance, log_base=args.log_base)
     print(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True))
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     if (args.f is None, args.lam is None) != (args.honest, args.honest):
         raise ValueError("choose either --honest or both --f and --lam")
     attack = None if args.honest else AttackParams(f=args.f, lam=args.lam)
@@ -150,7 +147,6 @@ def cmd_simulate(args) -> int:
                 made_dir.rmdir()
             raise
     print(json.dumps(summary_dict(config, transcript), indent=2, sort_keys=True))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,6 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bell = sub.add_parser("bell", help="print correlations, Bell quantity, and thresholds")
+    p_bell.set_defaults(handler=cmd_bell)
     p_bell.add_argument(
         "--settings",
         type=str,
@@ -170,6 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--visibility", type=float, default=1.0, help="scale all correlations")
 
     p_sweep = sub.add_parser("sweep", help="write a CSV grid over the attack plane")
+    p_sweep.set_defaults(handler=cmd_sweep)
     p_sweep.add_argument("--f-min", type=_finite, default=0.0)
     p_sweep.add_argument("--f-max", type=_finite, default=1.0)
     p_sweep.add_argument("--lam-min", type=_finite, default=-0.5)
@@ -179,10 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", type=str, required=True, help="output CSV path")
 
     p_cross = sub.add_parser("crossover", help="largest visibility with I_AE >= I_AB")
+    p_cross.set_defaults(handler=cmd_crossover)
     p_cross.add_argument("--tolerance", type=float, default=1e-6)
     p_cross.add_argument("--log-base", type=float, default=3.0)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo protocol")
+    p_sim.set_defaults(handler=cmd_simulate)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--honest", action="store_true", help="undisturbed source")
@@ -202,14 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    commands = {
-        "bell": cmd_bell,
-        "sweep": cmd_sweep,
-        "crossover": cmd_crossover,
-        "simulate": cmd_simulate,
-    }
     try:
-        return commands[args.command](args)
+        args.handler(args)
+        return 0
     except ValueError as exc:
         parser.error(str(exc))
     except (RecursionError, NotImplementedError):

@@ -1,8 +1,7 @@
 """The optics of the qutrit protocol: tritters and settings.
 
-State vectors are flat complex numpy vectors (a two-qutrit ket |ab> sits at
-index 3a+b), and tensor builds two-qutrit products.  All functions are pure
-and inputs are never mutated.
+State vectors are flat complex numpy vectors: a two-qutrit ket |ab> sits at
+index 3a+b.  All functions are pure and inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -54,8 +53,3 @@ def standard_settings() -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
         np.array([-np.pi, 0.0, np.pi]),
     )
     return alice, bob
-
-
-def tensor(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product; composite index = index(a)*dim(b) + index(b)."""
-    return np.kron(np.asarray(a), np.asarray(b))

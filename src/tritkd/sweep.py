@@ -240,16 +240,11 @@ def find_crossover(tolerance: float = 1e-6, log_base: float = 3.0) -> CrossoverR
     if not (np.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     _check_log_base(log_base)
-    return _false_position(*_bracket(), tolerance, log_base)
-
-
-def _bracket() -> tuple[float, float, float, float]:
-    """(lo, hi, gap(lo), gap(hi)) of _best_gap at _BRACKET's ends, about +0.0089 and -0.0036 nats."""
     lo, hi = _BRACKET
-    g_lo, g_hi = (float(g) for g in _best_gap(np.array(_BRACKET))[0])
+    g_lo, g_hi = (float(g) for g in _best_gap(np.array(_BRACKET))[0])  # about +0.0089 and -0.0036 nats
     if not g_lo >= 0.0 > g_hi:
         raise RuntimeError(f"the information gap does not change sign between v = {lo!r} and {hi!r}")
-    return lo, hi, g_lo, g_hi
+    return _false_position(lo, hi, g_lo, g_hi, tolerance, log_base)
 
 
 def _false_position(lo, hi, g_lo, g_hi, tolerance, log_base) -> CrossoverResult:

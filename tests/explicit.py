@@ -23,7 +23,7 @@ import numpy as np
 
 from tritkd.attack import SUBSPACE_PAIRS, AttackParams, _subspace_geometry, build_tripartite, srm_success
 from tritkd.correlations import _OUTCOME_PHASE
-from tritkd.quantum import ALPHA, tensor, tritter_unitary
+from tritkd.quantum import ALPHA, tritter_unitary
 
 _HERMITIAN_ATOL = 1e-10
 
@@ -127,7 +127,7 @@ def joint_probs(state, phases_a, phases_b) -> np.ndarray:
     norm = np.linalg.norm(psi)
     if not abs(norm - 1.0) <= 1e-8:
         raise ValueError(f"state is not normalized (norm {norm})")
-    amp = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b)) @ psi
+    amp = np.kron(tritter_unitary(phases_a), tritter_unitary(phases_b)) @ psi
     return _checked_table(np.abs(amp.reshape(3, 3)) ** 2)
 
 

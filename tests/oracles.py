@@ -37,7 +37,7 @@ from tritkd.attack import (
     transformed_tripartite,
 )
 from tritkd.correlations import ALPHA
-from tritkd.quantum import standard_settings, tensor, tritter_unitary
+from tritkd.quantum import standard_settings, tritter_unitary
 from tritkd.simulate import _DRAWS_PER_TRIAL, _GROUP_OF_FLAT
 from tritkd.sweep import CSV_COLUMNS, _best_gap, _false_position
 
@@ -99,7 +99,7 @@ def joint_probs_rho(rho, phases_a, phases_b):
     r = np.asarray(rho, dtype=complex)
     if r.shape != (9, 9):
         raise ValueError(f"density matrix must be 9x9, got shape {r.shape}")
-    u = tensor(tritter_unitary(phases_a), tritter_unitary(phases_b))
+    u = np.kron(tritter_unitary(phases_a), tritter_unitary(phases_b))
     p = np.einsum("ij,jk,ik->i", u, r, u.conj()).real
     return _checked_table(p.reshape(3, 3))
 

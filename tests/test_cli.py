@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from bisect import bisect_right
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,8 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from explicit import philox4x64_10
 from tritkd import cli
+from tritkd.attack import SUBSPACE_PAIRS, AttackParams
 from tritkd.correlations import CRITICAL_VISIBILITY
+from tritkd.simulate import SimConfig, _sampling_tables, _thresholds, write_transcript
 from tritkd.sweep import CSV_COLUMNS, format_csv, sweep_rows
 
 
@@ -44,6 +48,26 @@ def test_bell_default_report():
     assert "Q33 = 1.000000" in result.stdout
     assert "1.732051" in result.stdout
     assert "0.696152" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ((), ("bell", "sweep", "crossover", "simulate")),
+        (("bell",), ("--settings", "--visibility")),
+        (("sweep",), ("--f-min", "--f-max", "--lam-min", "--lam-max", "--steps", "--log-base", "--out")),
+        (("crossover",), ("--tolerance", "--log-base")),
+        (("simulate",), ("--trials", "--seed", "--honest", "--f", "--lam", "--weights", "--workers", "--out")),
+    ],
+)
+def test_help_lists_options(command, options, capsys):
+    # help text is built only here, so a stray % in a help string fails here and nowhere else
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(("usage: tritkd", *command)))
+    assert set(options) <= set(re.findall(r"[\w-]+", out))
 
 
 def test_bell_visibility_scales():
@@ -677,6 +701,43 @@ def test_simulate_reproducible_bytes(name, tmp_path):
         assert tritkd(*args, "--workers", workers, "--out", str(out)).returncode == 0
         assert hashlib.sha256((out / "transcript.tsv").read_bytes()).hexdigest() == transcript_sha
         assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == summary_sha
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_transcript_is_philox4x64_10(name, tmp_path):
+    # the golden transcripts, line by line, from the published generator in pure Python: trial i
+    # reads the words of counter i + 1 under key seed, a draw is word >> 11, and the setting pair,
+    # the outcome and Eve's steps from her slot count the integer thresholds their draw reaches
+    source, transcript_sha, _ = GOLDEN_RUNS[name]
+    args = cli.build_parser().parse_args(["simulate", "--seed", "42", *source])
+    attack = None if args.honest else AttackParams(f=args.f, lam=args.lam)
+    config = SimConfig(trials=args.trials, seed=args.seed, attack=attack)
+    path = tmp_path / "transcript.tsv"
+    write_transcript(config, path, workers=1)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == transcript_sha
+
+    cum_settings, cum_tables, eve_w = _sampling_tables(config)
+    set_thresh, out_thresh = _thresholds(cum_settings).tolist(), _thresholds(cum_tables).tolist()
+    # by group, the thresholds w and (1 + w) / 2 at which Eve's guess moves one and two slots on
+    eve_thresh = None if eve_w is None else _thresholds(np.stack([eve_w, (1.0 + eve_w) / 2.0])).T.tolist()
+    group_slot = {3 * a + b: (g, k) for g, pairs in enumerate(SUBSPACE_PAIRS) for k, (a, b) in enumerate(pairs)}
+
+    def line(i):
+        draws = [word >> 11 for word in philox4x64_10(i + 1, config.seed)]
+        pair = bisect_right(set_thresh, draws[0])
+        a, b = divmod(bisect_right(out_thresh[pair], draws[1]), 3)
+        eve = "-\t-"
+        if pair == 8 and eve_thresh is not None:
+            group, slot = group_slot[3 * a + b]
+            eve = f"{group}\t{(slot + bisect_right(eve_thresh[group], draws[2])) % 3}"
+        return f"{i}\t{pair // 3 + 1}\t{pair % 3 + 1}\t{a}\t{b}\t{eve}\n"
+
+    lines = data.decode("ascii").splitlines(keepends=True)[1:]  # after the header
+    checked = [*range(2000), 9, 10, 16383, 16384, config.trials - 1]
+    if name == "blocks":
+        checked += [99999, 100000, 131071, 131072]
+    assert [i for i in checked if lines[i] != line(i)] == []
 
 
 def test_simulate_attack_summary():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from explicit import InfeasibleGramError, chi_state, inv_sqrt, max_entangled_state, trace_out_ancilla, vectors_from_gram
-from tritkd.quantum import ALPHA, standard_settings, tensor, tritter_unitary
+from tritkd.quantum import ALPHA, standard_settings, tritter_unitary
 
 
 def test_tritter_zero_phases_entries():
@@ -79,10 +79,10 @@ def test_chi_states():
 def test_tensor_basis_and_identity():
     e0 = np.eye(3)[0]
     e1 = np.eye(3)[1]
-    out = tensor(e0, e1)
+    out = np.kron(e0, e1)  # |ab> sits at 3a + b, the index the explicit route reads
     assert out.shape == (9,)
     assert out[1] == 1.0 and np.count_nonzero(out) == 1
-    assert np.array_equal(tensor(np.eye(3), np.eye(3)), np.eye(9))
+    assert np.array_equal(np.kron(np.eye(3), np.eye(3)), np.eye(9))
 
 
 def test_tensor_bilinearity_and_norm():
@@ -92,18 +92,18 @@ def test_tensor_bilinearity_and_norm():
         v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         x = rng.normal(size=3) + 1j * rng.normal(size=3)
         y = rng.normal(size=3) + 1j * rng.normal(size=3)
-        lhs = tensor(u, v) @ tensor(x, y)
-        rhs = tensor(u @ x, v @ y)
+        lhs = np.kron(u, v) @ np.kron(x, y)
+        rhs = np.kron(u @ x, v @ y)
         assert np.abs(lhs - rhs).max() < 1e-12
         assert abs(
-            np.linalg.norm(tensor(x, y)) - np.linalg.norm(x) * np.linalg.norm(y)
+            np.linalg.norm(np.kron(x, y)) - np.linalg.norm(x) * np.linalg.norm(y)
         ) < 1e-12
 
 
 def test_tensor_associative():
     rng = np.random.default_rng(12)
     a, b, c = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3))
-    assert np.abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))).max() < 1e-15
+    assert np.abs(np.kron(np.kron(a, b), c) - np.kron(a, np.kron(b, c))).max() < 1e-15
 
 
 def test_inv_sqrt_identity_and_diagonal():

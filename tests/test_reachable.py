@@ -4,8 +4,9 @@ Code that only the tests call lives under tests/, as the explicit-state
 references of tests/explicit.py do; this guard names any library definition
 that nothing else in src/tritkd refers to, any import a module never uses, and any
 private module constant the package never reads, any file removal outside
-simulate._discard, any file staged or replaced outside simulate._staged, and any
-file opened for writing other than through simulate._staged.
+simulate._discard, any file staged or replaced outside simulate._staged, any
+file opened for writing other than through simulate._staged, and any CLI command
+that returns a value in place of leaving the exit code to main.
 """
 
 import ast
@@ -132,3 +133,17 @@ def test_every_written_file_is_staged():
                         staged.append(call)
     assert len(opens) == 3  # write_transcript, write_summary and cmd_sweep
     assert [f"line {call.lineno}" for call in opens if call not in staged] == []
+
+
+def test_commands_return_nothing():
+    # main alone decides the exit code: every return in a top-level cmd_* function of cli.py is bare
+    tree = ast.parse((SRC / "cli.py").read_text(), "cli.py")
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert [node.name for node in commands] == ["cmd_bell", "cmd_sweep", "cmd_crossover", "cmd_simulate"]
+    valued = [
+        f"{node.name}:{ret.lineno}"
+        for node in commands
+        for ret in ast.walk(node)
+        if isinstance(ret, ast.Return) and ret.value is not None
+    ]
+    assert valued == []

@@ -31,7 +31,7 @@ from tritkd.attack import (
 )
 from tritkd.correlations import CRITICAL_VISIBILITY
 from tritkd.simulate import SimConfig, run
-from tritkd.sweep import CSV_COLUMNS, _best_gap, _bracket, find_crossover, format_csv, sweep_rows
+from tritkd.sweep import _BRACKET, CSV_COLUMNS, _best_gap, find_crossover, format_csv, sweep_rows
 
 BAD_LOG_BASES = [0.5, 1.0, -2.0, float("inf"), float("nan")]
 
@@ -381,7 +381,8 @@ def test_crossover_reports_how_the_search_ended():
 def test_bracket_equals_full_scan():
     full = _best_gap(BRACKET_GRID)[0]
     k = np.nonzero((full[:-1] >= 0.0) & (full[1:] < 0.0))[0][-1]
-    lo, hi, g_lo, g_hi = _bracket()
+    lo, hi = _BRACKET
+    g_lo, g_hi = _best_gap(np.array(_BRACKET))[0]
     assert (lo, hi) == (BRACKET_GRID[k], BRACKET_GRID[k + 1])
     assert np.array_equal([g_lo, g_hi], full[k : k + 2])
 
