@@ -40,22 +40,20 @@ def _finite(text: str) -> float:  # for the sweep ranges: NaN would pass _clip_r
     return value
 
 
-def _parse_triple(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated phases, got {text!r}")
-    phases = np.array([float(p) for p in parts])
-    if not np.all(np.isfinite(phases)):
-        raise ValueError(f"phases must be finite numbers, got {text!r}")
-    return phases
+def _out(text: str) -> str:  # Path("") is the working directory: an unset variable would write over its files
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _parse_settings(text: str):
-    triples = text.split(";")
-    if len(triples) != 6:
-        raise ValueError("expected six semicolon-separated phase triples (A1;A2;A3;B1;B2;B3)")
-    vecs = [_parse_triple(t) for t in triples]
-    return tuple(vecs[:3]), tuple(vecs[3:])
+    phases = [[float(p) for p in triple.split(",")] for triple in text.split(";")]
+    if [len(triple) for triple in phases] != [3] * 6:
+        raise ValueError("expected six semicolon-separated triples of three comma-separated phases (A1;A2;A3;B1;B2;B3)")
+    phases = np.array(phases)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"phases must be finite numbers, got {text!r}")
+    return tuple(phases[:3]), tuple(phases[3:])
 
 
 def cmd_bell(args) -> None:
@@ -174,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lam-max", type=_finite, default=1.0)
     p_sweep.add_argument("--steps", type=int, default=50, help="points per axis")
     p_sweep.add_argument("--log-base", type=float, default=3.0)
-    p_sweep.add_argument("--out", type=str, required=True, help="output CSV path")
+    p_sweep.add_argument("--out", type=_out, required=True, help="output CSV path")
 
     p_cross = sub.add_parser("crossover", help="largest visibility with I_AE >= I_AB")
     p_cross.set_defaults(handler=cmd_crossover)
@@ -195,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="threads over disjoint trial ranges, at most one per CPU; same output for any value",
     )
-    p_sim.add_argument("--out", type=str, default=None, help="directory for transcript and summary")
+    p_sim.add_argument("--out", type=_out, default=None, help="directory for transcript and summary")
     return parser
 
 

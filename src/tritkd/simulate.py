@@ -103,9 +103,8 @@ class SimConfig:
             object.__setattr__(self, "setting_weights", tuple(float(x) for x in w))
 
 
-@dataclass
 class ProtocolTranscript:
-    """A run's config, its count table and the statistics computed from it.
+    """A run's config, its count table and the statistics computed from the table alone.
 
     counts[pair, a, b] counts the trials with setting pair 3 * (alice - 1) +
     (bob - 1) and 0-based outcomes a, b.  s_estimate/s_std_error are None when
@@ -114,17 +113,16 @@ class ProtocolTranscript:
     file write_transcript writes.
     """
 
-    config: SimConfig
-    counts: np.ndarray
-    s_estimate: float | None
-    s_std_error: float | None
-    qber: float | None
-    aborted: bool
-    abort_reason: str
-
-    @property
-    def sifted_length(self) -> int:
-        return int(self.counts[8].sum())
+    def __init__(self, config: SimConfig, counts: np.ndarray):
+        self.config, self.counts = config, counts
+        self.s_estimate, self.s_std_error = bell_from_counts(counts)
+        self.sifted_length = int(counts[8].sum())
+        errors = int(counts[8].ravel()[_GROUP_OF_FLAT != 0].sum())
+        self.qber = errors / self.sifted_length if self.sifted_length else None
+        if self.s_estimate is None:  # no Bell evidence, no key
+            self.aborted, self.abort_reason = True, "bell estimate unavailable (no test rounds)"
+        else:
+            self.aborted, self.abort_reason = abort_decision(self.s_estimate, self.s_std_error)
 
     # perfbench/spans.py reads its length; it leaves with ROADMAP item 2
     @functools.cached_property
@@ -331,17 +329,7 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
             thread.join()
     if failures:
         raise failures[0]
-    counts = sum(counts).reshape(9, 3, 3)
-
-    s_estimate, s_std_error = bell_from_counts(counts)
-    n_key = int(counts[8].sum())
-    errors = int(counts[8].ravel()[_GROUP_OF_FLAT != 0].sum())
-    qber = errors / n_key if n_key else None
-    if s_estimate is None:  # no Bell evidence, no key
-        aborted, reason = True, "bell estimate unavailable (no test rounds)"
-    else:
-        aborted, reason = abort_decision(s_estimate, s_std_error)
-    return ProtocolTranscript(config, counts, s_estimate, s_std_error, qber, aborted, reason)
+    return ProtocolTranscript(config, sum(counts).reshape(9, 3, 3))
 
 
 def run(config: SimConfig, workers: int = 1) -> ProtocolTranscript:

@@ -349,6 +349,18 @@ def test_sweep_rejects_disjoint_range():
     assert tritkd("sweep", "--lam-min", "0.9", "--lam-max", "0.1", "--out", "x.csv").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--steps", "2"], [*_SIMULATE, "--honest"]], ids=["sweep", "simulate"]
+)
+def test_empty_out_is_usage_error(argv, tmp_path):
+    # Path("") is the working directory: an unset shell variable would replace an earlier run's files
+    result = tritkd(*argv, "--out", "", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "argument --out: must not be empty" in result.stderr
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_unwritable_path_is_io_error(tmp_path):
     out = tmp_path / "no" / "dir" / "x.csv"
     result = tritkd("sweep", "--steps", "2", "--out", str(out))

@@ -5,8 +5,9 @@ references of tests/explicit.py do; this guard names any library definition
 that nothing else in src/tritkd refers to, any import a module never uses, and any
 private module constant the package never reads, any file removal outside
 simulate._discard, any file staged or replaced outside simulate._staged, any
-file opened for writing other than through simulate._staged, and any CLI command
-that returns a value in place of leaving the exit code to main.
+file opened for writing other than through simulate._staged, any CLI command
+that returns a value in place of leaving the exit code to main, and any Bell
+estimate or abort decision made outside simulate.ProtocolTranscript.
 """
 
 import ast
@@ -102,6 +103,12 @@ def test_only_staged_stages_files():
     # how an output file is replaced is decided in one place: each mkstemp, umask, replace and
     # chmod call, named by the top-level definition that holds it, is in simulate._staged
     assert set(_holders({"mkstemp", "umask", "replace", "chmod"})) == {"simulate.py:_staged"}
+
+
+def test_only_the_transcript_computes_statistics():
+    # a run's statistics are one function of its count table: each bell_from_counts and
+    # abort_decision call, named by the top-level definition that holds it, is in ProtocolTranscript
+    assert set(_holders({"bell_from_counts", "abort_decision"})) == {"simulate.py:ProtocolTranscript"}
 
 
 def _callee(node) -> str | None:

@@ -483,6 +483,34 @@ def test_missing_groups_are_unavailable_not_errors():
     assert transcript.s_estimate is not None
 
 
+def test_transcript_is_a_function_of_its_counts():
+    # a transcript holds its config and count table; every statistic is computed from the table
+    weights = (0.2, 0.05, 0.05, 0.05, 0.2, 0.05, 0.05, 0.05, 0.3)
+    for config in (
+        SimConfig(trials=20_000, seed=5),
+        SimConfig(trials=20_000, seed=6, attack=AttackParams(f=0.9, lam=0.8)),
+        SimConfig(trials=20_000, seed=7, setting_weights=weights),
+    ):
+        transcript = run(config)
+        assert summary_dict(config, ProtocolTranscript(config, transcript.counts)) == summary_dict(config, transcript)
+
+    config = SimConfig(trials=15, seed=0)
+    only_key = np.zeros((9, 3, 3), dtype=np.int64)
+    only_key[8] = [[5, 0, 1], [0, 4, 0], [2, 0, 3]]
+    transcript = ProtocolTranscript(config, only_key)
+    assert transcript.s_estimate is None and transcript.s_std_error is None
+    assert transcript.aborted
+    assert transcript.abort_reason == "bell estimate unavailable (no test rounds)"
+    assert transcript.sifted_length == 15
+
+    no_key = np.zeros((9, 3, 3), dtype=np.int64)
+    no_key[[0, 1, 3, 4]] = np.arange(9).reshape(3, 3) + 1
+    transcript = ProtocolTranscript(config, no_key)
+    assert transcript.sifted_length == 0
+    assert transcript.qber is None
+    assert transcript.s_estimate is not None
+
+
 def test_extract_key_remaps():
     # on a strictly correlated round Bob's outcome b names Alice's symbol
     a, b = np.transpose(SUBSPACE_PAIRS[0])

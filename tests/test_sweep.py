@@ -429,6 +429,22 @@ def test_crossover_closed_form_call_budget(monkeypatch):
     assert 0 < len(calls) <= 25
 
 
+def test_crossover_bisects_a_flat_root(monkeypatch):
+    # the gap d**3 + 1e-9 d, d = r - v, is flat at its root r: the secant and curvature steps
+    # each shrink the bracket by little, so the search must fall back on halving it
+    lo, hi = _BRACKET
+    root = lo + 0.3 * (hi - lo)
+
+    def flat_gap(v):
+        d = root - np.asarray(v, dtype=float)
+        return d**3 + 1e-9 * d, np.full_like(d, 0.75)
+
+    monkeypatch.setattr(tritkd.sweep, "_best_gap", flat_gap)
+    result = find_crossover(1e-10)
+    assert abs(result.v_max - root) <= 1e-10
+    assert result.iterations <= 10
+
+
 def test_best_gap_matches_deep_zoom_at_random_visibilities():
     vs = np.random.default_rng(2024).uniform(0.01, 0.999, 200)
     gap, _ = _best_gap(vs)
