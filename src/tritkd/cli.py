@@ -158,9 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.set_defaults(handler=cmd_bell)
     p_bell.add_argument(
         "--settings",
-        type=str,
-        default=None,
-        help="six semicolon-separated phase triples A1;A2;A3;B1;B2;B3 (radians)",
+        help="six semicolon-separated phase triples A1;A2;A3;B1;B2;B3 (radians); a value whose first "
+        "phase is negative needs the = form, --settings=-1,0,0;..., or argparse reads it as an option",
     )
     p_bell.add_argument("--visibility", type=float, default=1.0, help="scale all correlations")
 

@@ -50,7 +50,7 @@ _GUIDE_SHIFT = 53 - _GUIDE_BITS
 # 2**14 samples about 7 % slower than 2**16 on two workers, and 2**13 about 15 % (for 0.1 MiB).
 _BLOCK_TRIALS = 1 << 14
 
-# Group of each outcome 3a + b (intp: it indexes Eve's thresholds).
+# Group of each outcome 3a + b (intp: it indexes Eve's threshold rows).
 # _EVE_CODE[3 * (3a + b) + step] is the Eve code 1 + 3 * group + guess of a guess step slots past it.
 _GROUP_OF_FLAT = np.zeros(9, dtype=np.intp)
 _EVE_CODE = np.zeros(27, dtype=np.int8)
@@ -161,8 +161,7 @@ def _thresholds(cum: np.ndarray) -> np.ndarray:
 def _guide_table(thresh: np.ndarray, n_buckets: int) -> np.ndarray:
     """int8 entry j: searchsorted(thresh, key, side="right") shared by every key of
     bucket j (all reach t once j >= ceil(t / width)), or -1 where a threshold that
-    is no multiple of the width splits the bucket.  Built with no bucket-sized
-    temporaries, since each shard thread's add to the process's peak memory."""
+    is no multiple of the width splits the bucket.  Built with no bucket-sized temporaries."""
     width = 1 << _GUIDE_SHIFT
     reach = np.clip(-(-thresh // width), 0, n_buckets)
     guide = np.repeat(np.arange(len(thresh) + 1, dtype=np.int8), np.diff(reach, prepend=0, append=n_buckets))
@@ -186,19 +185,15 @@ def _lookup(guide: np.ndarray, thresh: np.ndarray, key: np.ndarray, bucket: np.n
     return out
 
 
-def _eve_codes(raw: np.ndarray, cell: np.ndarray, eve_thresh: np.ndarray | None, eve: np.ndarray):
-    """A block's Eve codes into the int8 eve, returned: 1 + 3 * group + guess on key rounds (cells
-    72 to 80) under attack, else 0; eve_thresh holds Eve's two thresholds by outcome 3a + b, shape (2, 9)."""
+def _eve_codes(raw: np.ndarray, cell: np.ndarray, eve_search: tuple | None, eve: np.ndarray):
+    """A block's Eve codes into the int8 eve, returned: 1 + 3 * group + guess on key rounds (cells 72 to 80)
+    under attack, else 0, as _EVE_CODE[3 * (3a + b) + step], the _lookup of ((3a + b) << 53) + word-2 draw."""
     eve.fill(0)
-    if eve_thresh is not None:
+    if eve_search is not None:
         key = np.flatnonzero(cell >= 72)
-        flat = np.subtract(cell[key], 72, dtype=np.intp)
-        r = _draw(raw[key, 2])
-        # r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
-        code = 3 * flat
-        code += r >= eve_thresh[0][flat]
-        code += r >= eve_thresh[1][flat]
-        eve[key] = _EVE_CODE[code]
+        search = np.left_shift(np.subtract(cell[key], 72, dtype=np.int64), 53)
+        search += _draw(raw[key, 2])
+        eve[key] = _EVE_CODE[_lookup(*eve_search, search, np.empty_like(search), np.empty(len(key), np.int8))]
     return eve
 
 
@@ -206,9 +201,9 @@ def _simulate_shard(
     config: SimConfig,
     lo: int,
     hi: int,
-    cum_settings: np.ndarray,
-    cum_tables: np.ndarray,
-    eve_w: np.ndarray | None,
+    set_search: tuple[np.ndarray, np.ndarray],
+    out_search: tuple[np.ndarray, np.ndarray],
+    eve_search: tuple[np.ndarray, np.ndarray] | None,
     sink: Callable[[int, np.ndarray, np.ndarray, tuple[np.ndarray, ...]], None] | None,
 ) -> np.ndarray:
     """Sample trials [lo, hi) as a full run does; return their 81 cell counts.
@@ -220,20 +215,12 @@ def _simulate_shard(
     rounds under attack, else 0) once its Philox words are spent, lending it
     those words as uint8 (32 bytes a trial: a 19-digit index and 13 bytes), the
     int64 work and the key as "<u8" to format lines in; the next block
-    overwrites them all.  An index counts the integer thresholds its draw
-    reaches, found with a guide table with a searchsorted fallback; setting
-    s offsets its outcome thresholds by s << 53 in one sorted array, so the
-    key (s << 53) + draw gives the trial's cell 9 * setting + 3 * a + b.
-    Of a trial's four Philox words only those it reads become draws: words 0
-    and 1 always, word 2 on key rounds under attack, word 3 never.
+    overwrites them all.  Every draw is one _lookup in the run's tables (see
+    _search_tables): the setting's key is its draw, the outcome's (s << 53) +
+    draw for setting pair s.  Of a trial's four Philox words only those it
+    reads become draws: words 0 and 1 always, word 2 on key rounds under
+    attack, word 3 never.
     """
-    set_thresh = _thresholds(cum_settings)
-    out_thresh = (
-        _thresholds(cum_tables) + (np.arange(9, dtype=np.int64) << 53)[:, None]
-    ).ravel()
-    set_guide = _guide_table(set_thresh, 1 << _GUIDE_BITS)
-    out_guide = _guide_table(out_thresh, 9 << _GUIDE_BITS)
-    eve_thresh = None if eve_w is None else _thresholds(np.stack([eve_w, (1.0 + eve_w) / 2.0]))[:, _GROUP_OF_FLAT]
     counts = np.zeros(81, dtype=np.int64)
 
     from numpy.random import Philox  # here, not on import: bell, sweep and crossover never sample
@@ -251,15 +238,15 @@ def _simulate_shard(
         # one whole Philox block per trial, so consecutive calls continue the serial stream
         raw = bit_gen.random_raw(_DRAWS_PER_TRIAL * n).reshape(n, _DRAWS_PER_TRIAL)
         key, work, cell = keys[:n], works[:n], cells[:n]
-        s = _lookup(set_guide, set_thresh, _draw(raw[:, 0], key), work, cell)  # in cell until the outcome
+        s = _lookup(*set_search, _draw(raw[:, 0], key), work, cell)  # in cell until the outcome
         np.left_shift(s, 53, out=work, dtype=np.int64)
         _draw(raw[:, 1], key)
         key += work
-        _lookup(out_guide, out_thresh, key, work, cell)
+        _lookup(*out_search, key, work, cell)
         np.copyto(work, cell)  # bincount counts intp: int8 cells would be cast to a temporary
         counts += np.bincount(work, minlength=81)
         if sink is not None:  # after _eve_codes, the last read of the block's words
-            eve = _eve_codes(raw, cell, eve_thresh, eves[:n])
+            eve = _eve_codes(raw, cell, eve_search, eves[:n])
             sink(start, cell, eve, (raw.view(np.uint8).reshape(-1), work, key.view("<u8")))
         del raw  # freed before the next block is drawn, so the peak holds one block's words
         start = stop
@@ -284,7 +271,7 @@ def abort_decision(s_estimate: float, s_std_error: float) -> tuple[bool, str]:
 
 
 def _sampling_tables(config: SimConfig):
-    """(cumulative setting weights, cumulative outcome tables, eve success probs)."""
+    """(cumulative setting weights, cumulative outcome tables, eve success probs), as floats."""
     weights = (1.0 / 9.0,) * 9 if config.setting_weights is None else config.setting_weights
     cum_settings = np.cumsum(weights, dtype=float)
     cum_settings[-1] = 1.0  # guard the top bin against cumsum rounding
@@ -297,6 +284,18 @@ def _sampling_tables(config: SimConfig):
     return cum_settings, cum_tables, eve_w
 
 
+def _search_tables(cum_settings: np.ndarray, cum_tables: np.ndarray, eve_w: np.ndarray | None) -> tuple:
+    """_lookup's (guide, thresholds) for the setting, outcome and Eve draws (Eve's None when honest),
+    each from cumulative rows whose row r is offset by r << 53: the key (r << 53) + draw finds the
+    index (row length) * r + bin.  Eve's row 3a + b holds w, (1 + w) / 2 and 1 of its group."""
+    def search(cum):
+        thresh = (_thresholds(cum) + (np.arange(len(cum), dtype=np.int64) << 53)[:, None]).ravel()
+        return _guide_table(thresh, len(cum) << _GUIDE_BITS), thresh
+
+    eve = None if eve_w is None else np.stack([eve_w, (1.0 + eve_w) / 2.0, np.ones(3)], axis=1)[_GROUP_OF_FLAT]
+    return search(cum_settings[None]), search(cum_tables), None if eve is None else search(eve)
+
+
 def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     """Sample every trial once, on shard threads; see run and write_transcript.
 
@@ -306,7 +305,7 @@ def _run(config: SimConfig, workers: int, sink) -> ProtocolTranscript:
     if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
 
-    tables = _sampling_tables(config)
+    tables = _search_tables(*_sampling_tables(config))  # built once, read by every shard
     # one shard per thread: more shards than the CPUs this process may run on would only queue
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n_shards = min(workers, cpus, config.trials)

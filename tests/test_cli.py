@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from explicit import philox4x64_10
 from tritkd import cli
 from tritkd.attack import SUBSPACE_PAIRS, AttackParams
-from tritkd.correlations import CRITICAL_VISIBILITY
+from tritkd.correlations import BELL_WEIGHTS, CRITICAL_VISIBILITY, bell_s, correlation_q_closed
 from tritkd.simulate import SimConfig, _sampling_tables, _thresholds, write_transcript
 from tritkd.sweep import CSV_COLUMNS, format_csv, sweep_rows
 
@@ -81,6 +81,18 @@ def test_bell_zero_settings():
     result = tritkd("bell", "--settings", zeros)
     assert result.returncode == 0
     assert "S = 1.732051" in result.stdout
+
+
+def test_bell_settings_with_a_negative_first_phase():
+    # argparse reads a value that starts with "-" and is no plain number as an option, so
+    # "--settings -1,0,0;..." exits 2; the "=" form passes it, and the help names that form
+    result = tritkd("bell", "--settings=-1,0,0;0,0,0;0,0,0;0,0,0;0,0,0;0,0,0")
+    assert result.returncode == 0
+    alice, bob = np.zeros((2, 3, 3))
+    alice[0, 0] = -1.0
+    s = bell_s(*(correlation_q_closed(alice[k - 1], bob[l - 1]) for k, l in BELL_WEIGHTS))
+    assert f"S = {s:.6f}\n" in result.stdout
+    assert "--settings=-1,0,0;..." in "".join(tritkd("bell", "--help").stdout.split())  # however it wraps
 
 
 def test_bell_malformed_settings_is_usage_error():

@@ -58,6 +58,7 @@ from tritkd.simulate import (
     _lookup,
     _outcome_tables,
     _sampling_tables,
+    _search_tables,
     _simulate_shard,
     _staged,
     _thresholds,
@@ -187,6 +188,29 @@ def test_threads_bounded_by_cpu_count(monkeypatch, tmp_path):
     assert _transcripts_equal(serial, bounded)
     assert blob == serial_bytes
     assert _transcripts_equal(serial, written)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_table_set_per_run(workers, monkeypatch):
+    # the run builds the setting, outcome and Eve search tables once and every shard reads them:
+    # three guide tables, one per table, at one shard and at two
+    built, shards = [], []
+    guide_table, shard = tritkd.simulate._guide_table, tritkd.simulate._simulate_shard
+
+    def counting_guide_table(thresh, n_buckets):
+        built.append(n_buckets)
+        return guide_table(thresh, n_buckets)
+
+    def recording_shard(*args):
+        shards.append(args[1:3])  # lo, hi
+        return shard(*args)
+
+    monkeypatch.setattr(tritkd.simulate.os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+    monkeypatch.setattr(tritkd.simulate, "_guide_table", counting_guide_table)
+    monkeypatch.setattr(tritkd.simulate, "_simulate_shard", recording_shard)
+    run(SimConfig(trials=1000, seed=17, attack=AttackParams(f=0.9, lam=0.8)), workers=workers)
+    assert len(shards) == workers
+    assert built == [1 << _GUIDE_BITS, 9 << _GUIDE_BITS, 9 << _GUIDE_BITS]
 
 
 @contextlib.contextmanager
@@ -424,6 +448,27 @@ def test_attack_statistics_match_theory(tmp_path):
     # bell estimate scales with the visibility
     assert abs(transcript.s_estimate - 0.72 * QUANTUM_BELL_VALUE) < 3 * transcript.s_std_error
     assert not transcript.aborted
+
+
+def test_eve_guess_steps_follow_each_groups_success(tmp_path):
+    # run fixed before any result was read: seed 42, 2e5 trials, (f, lam) = (0.9, 0.8), read back
+    # from the written transcript.  In group g, Eve's step (guess - slot) mod 3 is 0 with
+    # probability w_g and 1 or 2 with (1 - w_g) / 2 each; a G-test per group, whose survival
+    # function at 2 degrees of freedom is exp(-G / 2), must give p >= 1e-4
+    params = AttackParams(f=0.9, lam=0.8)
+    _, columns = _read_written(SimConfig(trials=200_000, seed=42, attack=params), tmp_path)
+    pair, a, b, sub, guess = columns.astype(np.int64)
+    key = pair == 8
+    flat, group = 3 * a[key] + b[key], sub[key]
+    assert np.array_equal(group, _GROUP_OF_FLAT[flat])
+    step = (guess[key] - _SLOT_OF_FLAT[flat]) % 3
+    w0, w12 = params._groups[2:]
+    for g, w in enumerate([w0, w12, w12]):
+        observed = np.bincount(step[group == g], minlength=3)
+        expected = observed.sum() * np.array([w, (1.0 - w) / 2.0, (1.0 - w) / 2.0])
+        seen = observed > 0
+        g_stat = 2.0 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
+        assert observed.sum() > 1000 and np.exp(-g_stat / 2.0) >= 1e-4, (g, observed, expected)
 
 
 def test_undisturbed_attack_is_invisible_but_uninformative(tmp_path):
@@ -733,7 +778,7 @@ def test_shard_formats_the_last_trials_in_their_own_words(monkeypatch):
 
     monkeypatch.setattr(tritkd.simulate.os, "pwrite", pwrite)
     monkeypatch.setattr(tritkd.simulate, "_BLOCK_TRIALS", 7)
-    _simulate_shard(config, lo, config.trials, *tables, functools.partial(_write_lines, -1))
+    _simulate_shard(config, lo, config.trials, *_search_tables(*tables), functools.partial(_write_lines, -1))
     pair, a, b, sub, guess = reference_shard(config, lo, config.trials, *tables)
     cell, eve = 9 * pair + 3 * a + b, np.where(sub >= 0, 1 + 3 * sub + guess, 0)
     assert len(writes) == 6 and (eve > 0).any()
@@ -882,8 +927,10 @@ def _bincount(columns):
 
 
 def _shard_columns(config, lo, hi, tables):
-    """Run one shard, recording its blocks' cells and Eve codes, decoded, into
-    sentinel-filled columns; return its slice of them."""
+    """Run one shard on the search tables built from tables, three arrays as _sampling_tables gives
+    them, recording its blocks' cells and Eve codes, decoded, into sentinel-filled columns; return
+    its slice of them."""
+    searches = _search_tables(*tables)
     columns = np.full((5, config.trials), SENTINEL, dtype=np.int8)
     ends = [lo]
 
@@ -902,12 +949,12 @@ def _shard_columns(config, lo, hi, tables):
         columns[:, start:stop] = code_columns(cell, eve)
         ends.append(stop)
 
-    counts = _simulate_shard(config, lo, hi, *tables, record)
+    counts = _simulate_shard(config, lo, hi, *searches, record)
     assert ends[-1] == hi
     assert np.all(columns[:, :lo] == SENTINEL) and np.all(columns[:, hi:] == SENTINEL)
     assert np.array_equal(counts, _bincount(columns[:, lo:hi]))
     # without a sink the shard counts the same trials
-    assert np.array_equal(counts, _simulate_shard(config, lo, hi, *tables, None))
+    assert np.array_equal(counts, _simulate_shard(config, lo, hi, *searches, None))
     return columns[:, lo:hi]
 
 
@@ -920,8 +967,10 @@ def _shard_columns(config, lo, hi, tables):
         (AttackParams(f=0.5, lam=-0.5), None),
         (AttackParams(f=0.9, lam=0.8), ONLY_TEST),
         (AttackParams(f=0.9, lam=0.8), DYADIC),
+        # w0 = w12 = 1: every Eve threshold is capped at 2**53, the offset of Eve's next row
+        (AttackParams(f=1 / 3, lam=0.0), None),
     ],
-    ids=["honest", "attack", "undisturbed", "lam-edge", "only-test", "dyadic"],
+    ids=["honest", "attack", "undisturbed", "lam-edge", "only-test", "dyadic", "certain"],
 )
 def test_blocked_shard_matches_reference(attack, weights, monkeypatch):
     config = SimConfig(trials=200, seed=31, attack=attack, setting_weights=weights)
@@ -1063,7 +1112,8 @@ def test_eve_codes_at_threshold_edges():
     cell = np.concatenate([72 + flat, 9 * (np.arange(len(k)) % 8) + flat]).astype(np.int8)
     # into a buffer of stale codes, as a shard's reused one holds: non-key rounds are reset to 0
     stale = np.full(len(cell), 7, dtype=np.int8)
-    eve = _eve_codes(raw, cell, thresh[:, _GROUP_OF_FLAT], stale)
+    # trivial setting and outcome tables: only Eve's search is read
+    eve = _eve_codes(raw, cell, _search_tables(np.ones(1), np.ones((9, 1)), w)[2], stale)
     assert eve is stale
 
     # the rule in floats, on u = k * 2**-53: r < w keeps the slot, r < (1+w)/2 moves one pair on, else two
